@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import RankedPoset, build_poset
+from .core import RankedPoset, build_poset, family
 from .errors import (
     EmptyFamilyError,
     IntervalOverlapError,
@@ -31,9 +31,7 @@ from .sperner import dual_dilworth_decompose, is_k_sperner, lym_sum
 
 def _family_mask(poset: RankedPoset, fam: Iterable[int]) -> int:
     mask = 0
-    for a in fam:
-        if not 0 <= a < poset.n:
-            raise PosetError(f"element {a} not in {poset.name}")
+    for a in family(poset, fam):
         mask |= 1 << a
     return mask
 
@@ -44,6 +42,7 @@ def compute_w(poset: RankedPoset, fam: Iterable[int], x: int) -> int:
     Zero when A^x is empty.  For x in an antichain A this equals d-(x).
     """
     fam_mask = _family_mask(poset, fam)
+    (x,) = family(poset, [x])
     return _compute_w_mask(poset, fam_mask, x)
 
 

@@ -251,7 +251,7 @@ class RankedPoset:
         return m
 
     def is_antichain(self, A: Iterable[int]) -> bool:
-        ids = list(A)
+        ids = list(family(self, A))
         return all(
             not self.comparable(a, b) for idx, a in enumerate(ids) for b in ids[idx + 1 :]
         )
@@ -296,19 +296,23 @@ class RankedPoset:
                 f"{self.name} has {self.count_maximal_chains().total} maximal chains (> {limit})"
             )
         chains: list[tuple[int, ...]] = []
-        stack: list[int] = []
-
-        def walk(x: int) -> None:
-            stack.append(x)
-            if not self.up_adj[x]:
-                chains.append(tuple(stack))
-            else:
-                for y in self.up_adj[x]:
-                    walk(y)
-            stack.pop()
-
-        for x in self.levels[0]:
-            walk(x)
+        for bottom in self.levels[0]:
+            if not self.up_adj[bottom]:
+                chains.append((bottom,))
+                continue
+            # depth-first in up_adj order; branches[k] yields the covers of path[k]
+            path = [bottom]
+            branches = [iter(self.up_adj[bottom])]
+            while branches:
+                y = next(branches[-1], None)
+                if y is None:
+                    branches.pop()
+                    path.pop()
+                elif self.up_adj[y]:
+                    path.append(y)
+                    branches.append(iter(self.up_adj[y]))
+                else:
+                    chains.append((*path, y))
         return chains
 
     def is_maximal_chain(self, chain: Sequence[int]) -> bool:

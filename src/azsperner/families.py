@@ -348,6 +348,21 @@ def _split_top_level(s: str) -> list[str]:
     return parts
 
 
+# integer arguments per spec kind; None means one or more
+_SPEC_ARITY = {"boolean": 1, "star": 2, "chains": None, "subspace": 2, "affine": 2, "divisor": 1}
+
+
+def _spec_ints(spec: str, tokens: list[str], count: int | None) -> list[int]:
+    """The integer arguments of a spec, or a PosetError that names the spec."""
+    try:
+        args = [int(t) for t in tokens]
+    except ValueError:
+        raise PosetError(f"poset spec {spec!r} needs integer arguments") from None
+    if count is not None and len(args) != count:
+        raise PosetError(f"poset spec {spec!r} needs {count} integer argument(s), got {len(args)}")
+    return args
+
+
 def parse_poset_spec(spec: str) -> RankedPoset:
     """Build a poset from a family spec string.
 
@@ -364,7 +379,7 @@ def parse_poset_spec(spec: str) -> RankedPoset:
         inner = _split_top_level(spec[len("trunc(") : -1])
         if len(inner) < 3:
             raise PosetError(f"trunc needs (spec,lo,hi): {spec!r}")
-        lo, hi = int(inner[-2]), int(inner[-1])
+        lo, hi = _spec_ints(spec, inner[-2:], 2)
         return truncate(parse_poset_spec(",".join(inner[:-2])), lo, hi)
     if spec.startswith("prod(") and spec.endswith(")"):
         inner = _split_top_level(spec[len("prod(") : -1])
@@ -379,7 +394,9 @@ def parse_poset_spec(spec: str) -> RankedPoset:
     if ":" not in spec:
         raise PosetError(f"unrecognized poset spec {spec!r}")
     kind, _, argstr = spec.partition(":")
-    args = [int(a) for a in argstr.split(",")] if argstr else []
+    if kind not in _SPEC_ARITY:
+        raise PosetError(f"unknown poset kind {kind!r}")
+    args = _spec_ints(spec, argstr.split(","), _SPEC_ARITY[kind])
     if kind == "boolean":
         return gen_boolean(*args)
     if kind == "star":
@@ -390,6 +407,4 @@ def parse_poset_spec(spec: str) -> RankedPoset:
         return gen_subspace_lattice(*args)
     if kind == "affine":
         return gen_affine_poset(*args)
-    if kind == "divisor":
-        return gen_divisor_lattice(*args)
-    raise PosetError(f"unknown poset kind {kind!r}")
+    return gen_divisor_lattice(*args)

@@ -1,15 +1,142 @@
-"""Integer max-flow and bipartite-matching helpers (networkx-backed).
+"""Integer max-flow and bipartite-matching helpers in plain Python.
 
-Capacities are integers throughout, so flow values are exact.
+Capacities are integers throughout, so flow values are exact.  One Dinic
+max-flow over a level pair (``level_pair_flow``) serves both the covering
+construction and the normality check; Hopcroft-Karp and an SCC condensation
+serve the Dilworth routines.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-import networkx as nx
-
 from .errors import SizeLimitError
+
+
+def level_pair_flow(
+    rows: Iterable[Hashable],
+    cols: Iterable[Hashable],
+    edges: Iterable[tuple[Hashable, Hashable]],
+    supply: dict,
+    demand: dict,
+) -> tuple[int, dict[tuple[Hashable, Hashable], int], set]:
+    """Dinic (1970) max-flow on source -> rows -> cols -> sink.
+
+    Source arcs carry ``supply[r]``, sink arcs ``demand[c]``, and each edge
+    ``(r, c)`` gets capacity = total supply, so cutting an edge never beats
+    cutting every source arc.
+    Returns (flow value, positive per-edge shipments, rows on the source side
+    of a minimum cut).  The cut side is the largest one: every row that
+    cannot reach the sink in the final residual graph.
+    """
+    rows = list(rows)
+    cols = list(cols)
+    edges = list(edges)
+    n_rows = len(rows)
+    n_cols = len(cols)
+    row_node = {r: i for i, r in enumerate(rows)}
+    col_node = {c: n_rows + j for j, c in enumerate(cols)}
+    source = n_rows + n_cols
+    sink = source + 1
+    total = sum(supply[r] for r in rows)
+
+    # Forward arc 2k runs tail[k] -> fwd_head[k]: source arcs, sink arcs, then
+    # the edges.  Arc a runs to head[a] with residual cap[a]; its reverse is a ^ 1.
+    tail = [source] * n_rows + list(range(n_rows, source)) + [row_node[r] for r, _ in edges]
+    fwd_head = list(range(n_rows)) + [sink] * n_cols + [col_node[c] for _, c in edges]
+    head = [0] * (2 * len(tail))
+    head[0::2] = fwd_head
+    head[1::2] = tail
+    cap = [0] * len(head)
+    cap[0::2] = (
+        [supply[r] for r in rows] + [demand[c] for c in cols] + [total] * len(edges)
+    )
+    out: list[list[int]] = [[] for _ in range(sink + 1)]
+    for k, (u, v) in enumerate(zip(tail, fwd_head)):
+        out[u].append(2 * k)
+        out[v].append(2 * k + 1)
+    first_middle = 2 * (n_rows + n_cols)
+
+    value = 0
+    while True:
+        level = [-1] * (sink + 1)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            next_level = level[u] + 1
+            for a in out[u]:
+                v = head[a]
+                if cap[a] and level[v] < 0:
+                    level[v] = next_level
+                    queue.append(v)
+        if level[sink] < 0:
+            break
+        value += _blocking_flow(source, sink, out, head, cap, level)
+
+    shipments: dict[tuple[Hashable, Hashable], int] = {}
+    for k, edge in enumerate(edges):
+        amount = cap[first_middle + 2 * k + 1]
+        if amount:
+            shipments[edge] = shipments.get(edge, 0) + amount
+    # Nodes that can still reach the sink in the residual graph; every row
+    # outside them is on the largest source side of a minimum cut.
+    reaches_sink = [False] * (sink + 1)
+    reaches_sink[sink] = True
+    queue = [sink]
+    for v in queue:
+        for a in out[v]:
+            u = head[a]
+            if cap[a ^ 1] and not reaches_sink[u]:
+                reaches_sink[u] = True
+                queue.append(u)
+    cut_rows = {r for i, r in enumerate(rows) if not reaches_sink[i]}
+    return value, shipments, cut_rows
+
+
+def _blocking_flow(
+    source: int, sink: int, out: list[list[int]], head: list[int], cap: list[int], level: list[int]
+) -> int:
+    """Saturate every shortest augmenting path of the level graph.
+
+    Iterative DFS with current-arc pointers: an arc that is saturated or leads
+    to a dead end is never tried again in this phase.
+    """
+    pointer = [0] * len(out)
+    pushed = 0
+    path: list[int] = []  # arcs from the source to u
+    u = source
+    while True:
+        if u == sink:
+            amount = min(cap[a] for a in path)
+            for a in path:
+                cap[a] -= amount
+                cap[a ^ 1] += amount
+            pushed += amount
+            # retreat to the tail of the first saturated arc
+            k = next(k for k, a in enumerate(path) if not cap[a])
+            u = head[path[k] ^ 1]
+            del path[k:]
+            continue
+        arcs = out[u]
+        i = pointer[u]
+        want = level[u] + 1
+        while i < len(arcs):
+            a = arcs[i]
+            if cap[a] and level[head[a]] == want:
+                break
+            i += 1
+        pointer[u] = i
+        if i < len(arcs):
+            a = arcs[i]
+            path.append(a)
+            u = head[a]
+        elif u == source:
+            return pushed
+        else:
+            level[u] = -1  # dead end for the rest of this phase
+            a = path.pop()
+            u = head[a ^ 1]
+            pointer[u] += 1
 
 
 def transportation(
@@ -28,22 +155,8 @@ def transportation(
     total = sum(supply[r] for r in rows)
     if total != sum(demand[c] for c in cols):
         return None
-    g = nx.DiGraph()
-    for r in rows:
-        g.add_edge("s", ("r", r), capacity=supply[r])
-    for c in cols:
-        g.add_edge(("c", c), "t", capacity=demand[c])
-    for r, c in edges:
-        g.add_edge(("r", r), ("c", c), capacity=total)
-    value, flow = nx.maximum_flow(g, "s", "t")
-    if value != total:
-        return None
-    out = {}
-    for r, c in edges:
-        amount = flow[("r", r)].get(("c", c), 0)
-        if amount:
-            out[(r, c)] = amount
-    return out
+    value, shipments, _ = level_pair_flow(rows, cols, edges, supply, demand)
+    return shipments if value == total else None
 
 
 def matching_min_cut_side(
@@ -59,20 +172,10 @@ def matching_min_cut_side(
     their joint neighborhood certifies the matching-condition violation.
     """
     rows = list(rows)
-    cols = list(cols)
-    total = sum(supply[r] for r in rows)
-    g = nx.DiGraph()
-    for r in rows:
-        g.add_edge("s", ("r", r), capacity=supply[r])
-    for c in cols:
-        g.add_edge(("c", c), "t", capacity=demand[c])
-    for r, c in edges:
-        g.add_edge(("r", r), ("c", c), capacity=total)
-    cut_value, (s_side, _) = nx.minimum_cut(g, "s", "t")
-    if cut_value == total:
+    value, _, cut_rows = level_pair_flow(rows, cols, edges, supply, demand)
+    if value == sum(supply[r] for r in rows):
         return True, set()
-    witness = {node[1] for node in s_side if isinstance(node, tuple) and node[0] == "r"}
-    return False, witness
+    return False, cut_rows
 
 
 def _hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -104,20 +207,37 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]) -> tuple[lis
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def augment(root: int) -> None:
+        """Layered DFS without recursion; a frame is [u, index of the neighbor tried]."""
+        frames = [[root, 0]]
+        while frames:
+            frame = frames[-1]
+            u, i = frame
+            nbrs = adj[u]
+            while i < len(nbrs):
+                w = pair_r[nbrs[i]]
+                if w == -1 or dist[w] == dist[u] + 1:
+                    break
+                i += 1
+            frame[1] = i
+            if i == len(nbrs):
+                dist[u] = INF
+                frames.pop()
+                if frames:
+                    frames[-1][1] += 1
+            elif pair_r[nbrs[i]] == -1:
+                for x, j in frames:  # flip the augmenting path
+                    v = adj[x][j]
+                    pair_l[x] = v
+                    pair_r[v] = x
+                return
+            else:
+                frames.append([pair_r[nbrs[i]], 0])
 
     while bfs():
         for u in range(n_left):
             if pair_l[u] == -1:
-                dfs(u)
+                augment(u)
     return pair_l, pair_r
 
 
@@ -222,22 +342,24 @@ def enumerate_maximum_antichain_ids(
             else:
                 implies[ev].add(eu)
 
-    dig = nx.DiGraph()
-    dig.add_nodes_from(range(m))
+    members = _topological_sccs(implies)  # edge id -> scc id, arcs go up
+    n_sccs = max(members, default=-1) + 1
+    order = range(n_sccs)
+    preds: list[set[int]] = [set() for _ in order]
+    succs: list[set[int]] = [set() for _ in order]
     for a in range(m):
-        dig.add_edges_from((a, b) for b in implies[a])
-    condensation = nx.condensation(dig)
-    order = list(nx.topological_sort(condensation))
-    members = condensation.graph["mapping"]  # edge id -> scc id
+        for b in implies[a]:
+            if members[a] != members[b]:
+                preds[members[b]].add(members[a])
+                succs[members[a]].add(members[b])
     scc_true = {members[e] for e in forced_true}
     scc_false = {members[e] for e in forced_false}
-    preds = {s: set(condensation.predecessors(s)) for s in order}
     # forward-close the trues, backward-close the falses
     for s in order:
-        if s in scc_true or preds[s] & scc_true:
+        if s in scc_true or not scc_true.isdisjoint(preds[s]):
             scc_true.add(s)
     for s in reversed(order):
-        if s in scc_false or any(t in scc_false for t in condensation.successors(s)):
+        if s in scc_false or not scc_false.isdisjoint(succs[s]):
             scc_false.add(s)
     if scc_true & scc_false:
         raise RuntimeError("inconsistent cover constraints")
@@ -248,7 +370,7 @@ def enumerate_maximum_antichain_ids(
         idx, true_sccs = stack.pop()
         while idx < len(order):
             s = order[idx]
-            if s in true_sccs or preds[s] & true_sccs:
+            if s in true_sccs or not true_sccs.isdisjoint(preds[s]):
                 true_sccs.add(s)
             elif s not in scc_false:
                 stack.append((idx + 1, set(true_sccs)))  # branch with s False
@@ -272,3 +394,54 @@ def enumerate_maximum_antichain_ids(
                 out.append(x)
         antichains.add(frozenset(out))
     return sorted(antichains, key=sorted)
+
+
+def _topological_sccs(succ: list[set[int]]) -> list[int]:
+    """Strongly connected components numbered in a topological order of the DAG.
+
+    Iterative Tarjan (1972).  Tarjan finishes a component only after every
+    component it reaches, so components come out in reverse topological
+    order; numbering them back to front makes every arc between components
+    run from a lower number to a higher one.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    finished: list[int] = [-1] * n
+    n_done = 0
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        finished[w] = n_done
+                        if w == v:
+                            break
+                    n_done += 1
+    return [n_done - 1 - c for c in finished]

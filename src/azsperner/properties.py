@@ -112,7 +112,7 @@ def degree_profile(poset: RankedPoset) -> tuple[list[int], list[int]]:
 
 def _level_pair_edges(poset: RankedPoset, i: int) -> list[tuple[int, int]]:
     """Cover edges (upper, lower) between levels i and i-1."""
-    return [(hi, lo) for lo, hi in poset.covers if poset.ranks[hi] == i]
+    return [(hi, lo) for lo in poset.levels[i - 1] for hi in poset.up_adj[lo]]
 
 
 def _normal_level_enumerate(
@@ -322,7 +322,7 @@ def build_chain_covering(poset: RankedPoset) -> ChainCovering:
     for i in range(poset.height):
         upper_size = poset.whitney[i + 1]
         lower_size = poset.whitney[i]
-        edges = [(lo, hi) for lo, hi in poset.covers if poset.ranks[lo] == i]
+        edges = [(lo, hi) for lo in poset.levels[i] for hi in poset.up_adj[lo]]
         supply = {x: upper_size for x in poset.levels[i]}
         demand = {y: lower_size for y in poset.levels[i + 1]}
         flow = transportation(poset.levels[i], poset.levels[i + 1], edges, supply, demand)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Family, RankedPoset
+from .core import Family, RankedPoset, family
 from .errors import (
     NotKSpernerError,
     NotStrictlyNormalError,
@@ -96,7 +96,7 @@ def dual_dilworth_decompose(poset: RankedPoset, fam: Iterable[int]) -> list[Fami
 def lym_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:
     """Exact sum of 1/N_rank over the family."""
     return sum(
-        (Fraction(1, poset.whitney[poset.ranks[x]]) for x in fam), Fraction(0)
+        (Fraction(1, poset.whitney[poset.ranks[x]]) for x in family(poset, fam)), Fraction(0)
     )
 
 

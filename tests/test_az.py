@@ -24,6 +24,7 @@ from azsperner.errors import (
     NotKSpernerError,
     NotRegularError,
     NotUPosetError,
+    PosetError,
     SkewViolationError,
 )
 
@@ -40,6 +41,11 @@ class TestComputeW:
     def test_empty_restriction(self, b3):
         fam = ids(b3, ["{1,2}"])
         assert compute_w(b3, fam, b3.element_by_label("{3}")) == 0
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_rejects_foreign_element(self, b2, bad):
+        with pytest.raises(PosetError):
+            compute_w(b2, [0], bad)
 
     def test_fig1a_remark_values(self, fig1a):
         fam = ids(fig1a, ["a", "c"])

@@ -250,3 +250,9 @@ class TestCoverAndSuite:
     def test_bad_spec_is_usage_error(self, capsys):
         code, lines = run_cli(capsys, "gen", "--poset", "nope:1")
         assert code == 2 and lines[0]["verdict"] == "error"
+
+    @pytest.mark.parametrize("spec", ["boolean:x", "boolean:"])
+    def test_bad_spec_argument_is_usage_error(self, capsys, spec):
+        code, lines = run_cli(capsys, "gen", "--poset", spec)
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert spec in lines[0]["error"]

@@ -153,6 +153,16 @@ class TestChains:
         assert all(b3.is_maximal_chain(c) for c in chains)
         assert not b3.is_maximal_chain(chains[0][1:])
 
+    def test_enumeration_is_lexicographic(self, b4):
+        # depth-first over the sorted cover lists, bottom level first
+        chains = b4.enumerate_maximal_chains()
+        assert chains == sorted(chains)
+
+    def test_long_chain_has_no_recursion_limit(self):
+        n = 3000
+        p = build_poset([(i, i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+        assert p.enumerate_maximal_chains() == [tuple(range(n))]
+
 
 class TestBoundary:
     def test_b2_singleton(self, b2):
@@ -188,6 +198,11 @@ class TestOrderQueries:
     def test_is_antichain(self, b3):
         assert b3.is_antichain(label_set(b3, ["{1}", "{2,3}"]))
         assert not b3.is_antichain(label_set(b3, ["{1}", "{1,2}"]))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_is_antichain_rejects_foreign_ids(self, b2, bad):
+        with pytest.raises(PosetError):
+            b2.is_antichain([1, bad])
 
 
 class TestSerialization:

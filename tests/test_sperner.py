@@ -15,7 +15,12 @@ from azsperner import (
     lym_sum,
     max_antichain,
 )
-from azsperner.errors import NotKSpernerError, NotStrictlyNormalError, SizeLimitError
+from azsperner.errors import (
+    NotKSpernerError,
+    NotStrictlyNormalError,
+    PosetError,
+    SizeLimitError,
+)
 from azsperner.sperner import is_homogeneous
 
 
@@ -93,6 +98,11 @@ class TestLymSum:
     def test_two_thirds(self, b3):
         fam = [b3.element_by_label("{1}"), b3.element_by_label("{2,3}")]
         assert lym_sum(b3, fam) == Fraction(2, 3)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_rejects_foreign_ids(self, b2, bad):
+        with pytest.raises(PosetError):
+            lym_sum(b2, [bad])
 
 
 class TestMaxAntichain:
