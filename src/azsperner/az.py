@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import RankedPoset, build_poset, family
 from .errors import (
@@ -29,11 +29,38 @@ from .properties import LambdaTable, check_regular, degree_profile, lambda_table
 from .sperner import dual_dilworth_decompose, is_k_sperner, lym_sum
 
 
-def _family_mask(poset: RankedPoset, fam: Iterable[int]) -> int:
-    mask = 0
-    for a in family(poset, fam):
-        mask |= 1 << a
-    return mask
+def _ids(mask: int) -> list[int]:
+    """The set bits of mask in increasing order."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _boundary_w(
+    poset: RankedPoset, up: int, region: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """W over a region of an upset U(A), read off the upset boundary.
+
+    For x in U(A), W_A(x) is the number of lower covers of x outside U(A): a
+    lower cover above some a in A lies above a member of A^x.  Returns
+    ({x: W(x)} for the x in region with W(x) > 0, {d-(x) N_rank(x): sum of
+    those W}); region must lie inside up.
+    """
+    outside = ~up
+    covers = poset.down_cover_mask
+    denominators = poset.identity_denominator
+    w_of: dict[int, int] = {}
+    by_denominator: dict[int, int] = {}
+    for x in _ids(region):
+        w = (covers[x] & outside).bit_count()
+        if w:
+            w_of[x] = w
+            d = denominators[x]
+            by_denominator[d] = by_denominator.get(d, 0) + w
+    return w_of, by_denominator
+
+
+def _exact_sum(by_denominator: dict[int, int]) -> Fraction:
+    """The sum of w/d over a {d: w} table, one Fraction per denominator."""
+    return sum((Fraction(w, d) for d, w in by_denominator.items()), Fraction(0))
 
 
 def compute_w(poset: RankedPoset, fam: Iterable[int], x: int) -> int:
@@ -41,30 +68,15 @@ def compute_w(poset: RankedPoset, fam: Iterable[int], x: int) -> int:
 
     Zero when A^x is empty.  For x in an antichain A this equals d-(x).
     """
-    fam_mask = _family_mask(poset, fam)
+    up = poset.upset_mask(family(poset, fam))
     (x,) = family(poset, [x])
-    return _compute_w_mask(poset, fam_mask, x)
+    w_of, _ = _boundary_w(poset, up, up & (1 << x))
+    return w_of.get(x, 0)
 
 
-def _compute_w_mask(poset: RankedPoset, fam_mask: int, x: int) -> int:
-    ax = poset.down_mask[x] & fam_mask
-    if not ax:
-        return 0
-    r = poset.ranks[x]
-    if r == 0:
-        return 0
-    gamma_plus = 0
-    m = ax
-    while m:
-        low = m & -m
-        gamma_plus |= poset.up_mask[low.bit_length() - 1]
-        m ^= low
-    gamma_plus &= poset.level_mask[r - 1]
-    return (poset.down_cover_mask[x] & ~gamma_plus).bit_count()
+class AZTerm(NamedTuple):
+    """One element's identity term: a light immutable record, built n times per sum."""
 
-
-@dataclass(frozen=True)
-class AZTerm:
     element: int
     w: int
     term: Fraction
@@ -106,32 +118,25 @@ def az_identity_sum(poset: RankedPoset, fam: Iterable[int]) -> AZReport:
     """
     if not poset.is_u_poset:
         raise NotUPosetError(f"{poset.name} is not a U-poset")
-    fam_mask = _family_mask(poset, fam)
-    if fam_mask == 0:
+    ids = family(poset, fam)
+    if not ids:
         raise EmptyFamilyError("the identity needs a nonempty family")
-    up_mask = 0
-    m = fam_mask
-    while m:
-        low = m & -m
-        up_mask |= poset.up_mask[low.bit_length() - 1]
-        m ^= low
+    up = poset.upset_mask(ids)
+    w_of, by_denominator = _boundary_w(poset, up, up)
+    (bottom,) = poset.levels[0]
+    bottom_in = bottom in ids
+    total = _exact_sum(by_denominator) + int(bottom_in)
+    # terms share one Fraction per distinct (w, denominator); in_up[x] is bit x of U(A)
+    denominators = poset.identity_denominator
+    shared = {key: Fraction(*key) for key in {(w, denominators[x]) for x, w in w_of.items()}}
+    zero = Fraction(0)
+    in_up = format(up, f"0{poset.n}b")[::-1]
     terms = []
-    total = Fraction(0)
     for x in range(poset.n):
-        in_family = bool((fam_mask >> x) & 1)
-        in_upset = bool((up_mask >> x) & 1)
-        if poset.ranks[x] == 0:
-            term = Fraction(1) if in_family else Fraction(0)
-            terms.append(AZTerm(x, 0, term, in_family, in_family, in_upset))
-        else:
-            w = _compute_w_mask(poset, fam_mask, x)
-            term = (
-                Fraction(w, poset.d_minus(x) * poset.whitney[poset.ranks[x]])
-                if w
-                else Fraction(0)
-            )
-            terms.append(AZTerm(x, w, term, False, in_family, in_upset))
-        total += terms[-1].term
+        w = w_of.get(x, 0)
+        term = shared[w, denominators[x]] if w else zero
+        terms.append(AZTerm(x, w, term, False, x in ids, in_up[x] == "1"))
+    terms[bottom] = AZTerm(bottom, 0, Fraction(int(bottom_in)), bottom_in, bottom_in, bottom_in)
     return AZReport(total=total, terms=tuple(terms))
 
 
@@ -144,33 +149,20 @@ def key_lemma_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:
     """
     if not check_regular(poset).holds:
         raise NotRegularError(f"{poset.name} is not regular")
-    fam_mask = _family_mask(poset, fam)
-    if fam_mask == 0:
+    ids = family(poset, fam)
+    if not ids:
         raise EmptyFamilyError("the identity needs a nonempty family")
-    up_mask = 0
-    m = fam_mask
-    while m:
-        low = m & -m
-        up_mask |= poset.up_mask[low.bit_length() - 1]
-        m ^= low
+    up = poset.upset_mask(ids)
+    _, by_denominator = _boundary_w(poset, up, up)
+    # bottom-level members weigh 1/N_0 and top-level elements outside U(A) 1/N_top;
+    # the two sets are disjoint even when the height is 0
     top = poset.height
-    total = Fraction(0)
-    for x in range(poset.n):
-        r = poset.ranks[x]
-        in_family = bool((fam_mask >> x) & 1)
-        in_upset = bool((up_mask >> x) & 1)
-        if r == 0 and in_family:
-            total += Fraction(1, poset.whitney[0])
-        elif r == top and not in_upset:
-            # takes precedence over the bottom-level zero case when height is 0
-            total += Fraction(1, poset.whitney[top])
-        elif r == 0:
-            continue
-        else:
-            w = _compute_w_mask(poset, fam_mask, x)
-            if w:
-                total += Fraction(w, poset.d_minus(x) * poset.whitney[r])
-    return total
+    for count, d in (
+        (sum(poset.ranks[a] == 0 for a in ids), poset.whitney[0]),
+        ((poset.level_mask[top] & ~up).bit_count(), poset.whitney[top]),
+    ):
+        by_denominator[d] = by_denominator.get(d, 0) + count
+    return _exact_sum(by_denominator)
 
 
 def adjoin_bounds(poset: RankedPoset) -> RankedPoset:
@@ -219,13 +211,19 @@ def antichain_az(
     Family members contribute exactly 1/N_rank; the parts sum to 1 on a
     regular U-poset, which is the exact form of the LYM inequality.
     """
-    fam = frozenset(fam)
-    if not poset.is_antichain(fam):
+    ids = family(poset, fam)
+    if not poset.is_antichain(ids):
         raise NotAntichainError("family contains comparable elements")
-    report = az_identity_sum(poset, fam)
-    lym_part = sum((t.term for t in report.terms if t.in_family), Fraction(0))
-    remainder = report.total - lym_part
-    return lym_part, remainder
+    if not poset.is_u_poset:
+        raise NotUPosetError(f"{poset.name} is not a U-poset")
+    if not ids:
+        raise EmptyFamilyError("the identity needs a nonempty family")
+    up = poset.upset_mask(ids)
+    bottom_in = poset.levels[0][0] in ids
+    _, everywhere = _boundary_w(poset, up, up)
+    _, in_family = _boundary_w(poset, up, sum(1 << a for a in ids))
+    lym_part = _exact_sum(in_family) + int(bottom_in)
+    return lym_part, _exact_sum(everywhere) + int(bottom_in) - lym_part
 
 
 def k_sperner_az(poset: RankedPoset, fam: Iterable[int], k: int) -> Fraction:
@@ -260,22 +258,13 @@ def interval_w_sum(poset: RankedPoset, a: int, b: int) -> Fraction:
     The direct counterpart of a beta value on a strongly regular poset; the
     bottom convention applies when a is the universal bottom.
     """
+    family(poset, (a, b))
     if not poset.leq(a, b):
         raise PosetError(f"{a} is not below {b}")
-    interval = poset.up_mask[a] & poset.down_mask[b]
-    total = Fraction(0)
-    m = interval
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        m ^= low
-        if poset.ranks[x] == 0:
-            total += Fraction(1)
-            continue
-        w = _compute_w_mask(poset, 1 << a, x)
-        if w:
-            total += Fraction(w, poset.d_minus(x) * poset.whitney[poset.ranks[x]])
-    return total
+    up = poset.up_mask[a]
+    _, by_denominator = _boundary_w(poset, up, up & poset.down_mask[b])
+    # the bottom convention: x = a contributes 1 when a sits at rank 0
+    return _exact_sum(by_denominator) + int(poset.ranks[a] == 0)
 
 
 def beta(poset: RankedPoset, table: LambdaTable, k: int, l: int) -> Fraction:
@@ -311,6 +300,7 @@ class SkewPairSystem:
     def validate(self, poset: RankedPoset) -> None:
         if not self.pairs:
             raise EmptyFamilyError("pair system must be nonempty")
+        family(poset, (x for pair in self.pairs for x in pair))
         for i, (a, b) in enumerate(self.pairs):
             if not poset.leq(a, b):
                 raise SkewViolationError(f"pair {i}: {a} is not below {b}")
@@ -361,15 +351,10 @@ def second_az_identity(
     betas = tuple(
         beta(poset, table, poset.ranks[a], poset.ranks[b]) for a, b in system.pairs
     )
-    a_fam = [a for a, _ in system.pairs]
-    b_fam = [b for _, b in system.pairs]
-    region = poset.upset(a_fam) - poset.downset(b_fam)
-    fam_mask = _family_mask(poset, a_fam)
-    boundary = Fraction(0)
-    for x in region:
-        w = _compute_w_mask(poset, fam_mask, x)
-        if w:
-            boundary += Fraction(w, poset.d_minus(x) * poset.whitney[poset.ranks[x]])
+    up = poset.upset_mask(a for a, _ in system.pairs)
+    below = poset.downset_mask(b for _, b in system.pairs)
+    _, by_denominator = _boundary_w(poset, up, up & ~below)
+    boundary = _exact_sum(by_denominator)
     return SkewIdentityReport(
         total=sum(betas, Fraction(0)) + boundary,
         betas=betas,

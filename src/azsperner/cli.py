@@ -26,7 +26,7 @@ from .az import (
 )
 from .core import RankedPoset, from_json
 from .errors import PosetError
-from .families import parse_poset_spec, _split_top_level
+from .families import parse_poset_spec, split_top_level
 from .properties import (
     build_chain_covering,
     check_level_connected,
@@ -60,46 +60,85 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _read_json(path: str, what: str):
+    """The parsed JSON of a file, or a PosetError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise PosetError(f"cannot read {what} file {path!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise PosetError(f"{what} file {path!r} is not valid JSON: {exc}") from None
+
+
+def _ints(text: str, tokens) -> list[int]:
+    """Integer ids, or a PosetError naming the offending text; JSON true is no id."""
+    try:
+        ids = [int(t) for t in tokens]
+    except (TypeError, ValueError):
+        ids = None
+    if ids is None or any(isinstance(t, bool) for t in tokens):
+        raise PosetError(f"{text!r} needs integer ids")
+    return ids
+
+
+def _labelled(poset: RankedPoset, label: str) -> int:
+    try:
+        return poset.element_by_label(label)
+    except KeyError:
+        raise PosetError(f"no element labelled {label!r} in {poset.name}") from None
+
+
 def load_poset(spec: str) -> RankedPoset:
     if spec.startswith("@"):
-        return from_json(Path(spec[1:]).read_text())
+        return from_json(_read_json(spec[1:], "poset"), source=f"poset file {spec[1:]!r}")
     return parse_poset_spec(spec)
 
 
-def parse_family(poset: RankedPoset, text: str, seed: int | None = None) -> frozenset[int]:
+def parse_family(poset: RankedPoset, text: str | None, seed: int | None = None) -> frozenset[int]:
     """Family literals: comma-separated ids or labels, @file, or random:n:seed."""
+    if text is None:
+        raise PosetError("this command needs --family")
     if text.startswith("@"):
-        ids = json.loads(Path(text[1:]).read_text())
-        return frozenset(int(x) for x in ids)
+        ids = _read_json(text[1:], "family")
+        if not isinstance(ids, list):
+            raise PosetError(f"family file {text[1:]!r} must hold a JSON list of ids")
+        return frozenset(_ints(text, ids))
     if text.startswith("random:"):
         parts = text.split(":")
-        size = int(parts[1])
-        rng_seed = int(parts[2]) if len(parts) > 2 else (seed or 0)
-        rng = random.Random(rng_seed)
+        if len(parts) > 3:
+            raise PosetError(f"family {text!r} must read random:n or random:n:seed")
+        size, *rest = _ints(text, parts[1:])
+        if not 0 <= size <= poset.n:
+            raise PosetError(f"family {text!r}: cannot draw {size} of {poset.n} elements")
+        rng = random.Random(rest[0] if rest else (seed or 0))
         return frozenset(rng.sample(range(poset.n), size))
     members = set()
-    for token in _split_top_level(text):
+    for token in split_top_level(text):
         token = token.strip()
         if not token:
             continue
         try:
             members.add(int(token))
         except ValueError:
-            members.add(poset.element_by_label(token))
+            members.add(_labelled(poset, token))
     return frozenset(members)
 
 
-def parse_pair_family(text: str) -> frozenset[tuple[int, int]]:
+def parse_pair_family(text: str | None) -> frozenset[tuple[int, int]]:
+    if text is None:
+        raise PosetError("this command needs --family")
     if text.startswith("@"):
-        pairs = json.loads(Path(text[1:]).read_text())
-        return frozenset((int(a), int(b)) for a, b in pairs)
+        pairs = _read_json(text[1:], "family")
+        if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+            raise PosetError(f"family file {text[1:]!r} must hold a JSON list of id pairs")
+        return frozenset(tuple(_ints(text, pair)) for pair in pairs)
     out = set()
-    for token in _split_top_level(text):
+    for token in split_top_level(text):
         token = token.strip()
         if not token:
             continue
         a, _, b = token.partition(":")
-        out.add((int(a), int(b)))
+        out.add(tuple(_ints(token, (a, b))))
     return frozenset(out)
 
 
@@ -182,32 +221,32 @@ def cmd_az(args) -> int:
     poset = load_poset(args.poset)
     start = time.perf_counter()
     identity = args.identity
-    witness = None
-    breakdown = None
+    breakdown = None  # builds the --breakdown JSON, only when asked for
     if identity == "thm5":
         if not args.pairs:
             raise PosetError("thm5 needs --pairs a:b,c:d (ids or labels)")
         pairs = []
-        for token in _split_top_level(args.pairs):
+        for token in split_top_level(args.pairs):
             a_text, _, b_text = token.strip().partition(":")
-            fam_a = parse_family(poset, a_text)
-            fam_b = parse_family(poset, b_text)
-            pairs.append((next(iter(fam_a)), next(iter(fam_b))))
+            fam_a, fam_b = parse_family(poset, a_text), parse_family(poset, b_text)
+            if len(fam_a) != 1 or len(fam_b) != 1:
+                raise PosetError(f"pair {token!r} must name one element on each side")
+            pairs.append((*fam_a, *fam_b))
         report = second_az_identity(poset, SkewPairSystem(pairs=tuple(pairs)))
         total, expected = report.total, Fraction(1)
-        breakdown = report.to_json()
+        breakdown = report.to_json
     else:
         fam = parse_family(poset, args.family, seed=args.seed)
         if identity == "thm1":
             rep = az_identity_sum(poset, fam)
             total, expected = rep.total, Fraction(1)
-            breakdown = rep.to_json()
+            breakdown = rep.to_json
         elif identity == "keylemma":
             total, expected = key_lemma_sum(poset, fam), Fraction(1)
         elif identity == "cor2":
             lym, rem = antichain_az(poset, fam)
             total, expected = lym + rem, Fraction(1)
-            breakdown = {"lym_part": _frac(lym), "remainder": _frac(rem)}
+            breakdown = lambda: {"lym_part": _frac(lym), "remainder": _frac(rem)}
         elif identity == "cor3":
             total, expected = k_sperner_az(poset, fam, args.k), Fraction(args.k)
         else:
@@ -225,9 +264,7 @@ def cmd_az(args) -> int:
         ms=round(1000 * (time.perf_counter() - start), 2),
     )
     if breakdown is not None and args.breakdown:
-        report["breakdown"] = breakdown
-    if witness is not None:
-        report["witness"] = witness
+        report["breakdown"] = breakdown()
     emit(report)
     return 0 if verdict == "pass" else 1
 

@@ -154,6 +154,36 @@ class RankedPoset:
         return tuple(masks)
 
     @cached_property
+    def identity_denominator(self) -> tuple[int, ...]:
+        """d-(x) * N_rank(x) per element: the denominator of x's identity term.
+
+        Equal values share one int object, so the table costs one pointer per
+        element.
+        """
+        shared: dict[int, int] = {}
+        return tuple(
+            shared.setdefault(d, d)
+            for d in (len(adj) * self.whitney[r] for adj, r in zip(self.down_adj, self.ranks))
+        )
+
+    @cached_property
+    def irregular_pair(self) -> tuple[int, str, int, int] | None:
+        """The first same-rank pair whose degrees differ, or None on a regular poset.
+
+        Lower degrees are scanned before upper ones and ranks bottom-up; the
+        pair comes as (rank, "lower" | "upper", first element of the level, x).
+        """
+        for label, adj in (("lower", self.down_adj), ("upper", self.up_adj)):
+            for i, level in enumerate(self.levels):
+                if not level:
+                    continue
+                degree = len(adj[level[0]])
+                for x in level[1:]:
+                    if len(adj[x]) != degree:
+                        return i, label, level[0], x
+        return None
+
+    @cached_property
     def is_u_poset(self) -> bool:
         if self.whitney[0] != 1 or self.whitney[-1] != 1:
             return False
@@ -232,17 +262,11 @@ class RankedPoset:
 
     def upset(self, A: Iterable[int]) -> Family:
         """The filter generated by A: every element above some member."""
-        m = 0
-        for a in A:
-            m |= self.up_mask[a]
-        return _ids_of(m)
+        return _ids_of(self.upset_mask(A))
 
     def downset(self, A: Iterable[int]) -> Family:
         """The ideal generated by A: every element below some member."""
-        m = 0
-        for a in A:
-            m |= self.down_mask[a]
-        return _ids_of(m)
+        return _ids_of(self.downset_mask(A))
 
     def upset_mask(self, A: Iterable[int]) -> int:
         m = 0
@@ -250,11 +274,17 @@ class RankedPoset:
             m |= self.up_mask[a]
         return m
 
+    def downset_mask(self, A: Iterable[int]) -> int:
+        m = 0
+        for a in A:
+            m |= self.down_mask[a]
+        return m
+
     def is_antichain(self, A: Iterable[int]) -> bool:
-        ids = list(family(self, A))
-        return all(
-            not self.comparable(a, b) for idx, a in enumerate(ids) for b in ids[idx + 1 :]
-        )
+        """No member lies above another: one upset-mask test per member."""
+        ids = family(self, A)
+        members = _mask_of(ids)
+        return all(self.up_mask[a] & members == 1 << a for a in ids)
 
     # -- chains --------------------------------------------------------------
 
@@ -393,14 +423,52 @@ def build_poset(
     return RankedPoset(name=name, ranks=ranks, covers=covers, labels=labels, meta=meta)
 
 
-def from_json(obj: dict | str) -> RankedPoset:
-    """Load a poset from the JSON interchange format."""
+def _json_field(obj, key: str, kind: type, where: str):
+    """obj[key] checked to be a kind (a bool is not an int), or a PosetError naming the key."""
+    if not isinstance(obj, dict):
+        raise PosetError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise PosetError(f"{where} has no {key!r} key")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise PosetError(f"{where}: {key!r} must be a JSON {kind.__name__}")
+    return value
+
+
+def from_json(obj: dict | str, source: str = "poset JSON") -> RankedPoset:
+    """Load a poset from the JSON interchange format.
+
+    Malformed input raises a PosetError that names ``source`` and the
+    offending key or entry.
+    """
     if isinstance(obj, str):
-        obj = json.loads(obj)
-    elements = [(e["id"], e["rank"]) for e in obj["elements"]]
-    covers = [(lo, hi) for lo, hi in obj["covers"]]
+        try:
+            obj = json.loads(obj)
+        except ValueError as exc:
+            raise PosetError(f"{source} is not valid JSON: {exc}") from None
+    elements = [
+        (_json_field(e, "id", int, f"{source} element {i}"),
+         _json_field(e, "rank", int, f"{source} element {i}"))
+        for i, e in enumerate(_json_field(obj, "elements", list, source))
+    ]
+    covers = []
+    for cover in _json_field(obj, "covers", list, source):
+        if not (
+            isinstance(cover, (list, tuple))
+            and len(cover) == 2
+            and all(type(v) is int for v in cover)
+        ):
+            raise PosetError(f"{source}: cover {cover!r} must be a pair of integer ids")
+        covers.append(tuple(cover))
     labels = obj.get("labels")
-    return build_poset(elements, covers, name=obj.get("name", "poset"), labels=labels)
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)
+    ):
+        raise PosetError(f"{source}: 'labels' must be a list of strings")
+    name = obj.get("name", "poset")
+    if not isinstance(name, str):
+        raise PosetError(f"{source}: 'name' must be a JSON string")
+    return build_poset(elements, covers, name=name, labels=labels)
 
 
 def iter_families(poset: RankedPoset, ids: Iterable[int]) -> Iterator[int]:

@@ -9,14 +9,6 @@ class CoverRankError(PosetError):
     """A cover edge does not increase rank by exactly one."""
 
 
-class CycleError(PosetError):
-    """Cover relation is inconsistent with the rank function.
-
-    Kept for interface completeness: with per-edge rank validation a cycle
-    cannot survive construction, so this is only raised defensively.
-    """
-
-
 class NotGradedError(PosetError):
     """Operation requires a graded poset (minimal elements at rank 0, maximal at the top)."""
 

@@ -330,7 +330,8 @@ def whitney_oracle(name_kind: str, *args) -> list[int]:
 # -- spec-string parser ----------------------------------------------------
 
 
-def _split_top_level(s: str) -> list[str]:
+def split_top_level(s: str) -> list[str]:
+    """Split on the commas that sit outside every (), {} and [] pair."""
     parts = []
     depth = 0
     cur = []
@@ -376,13 +377,13 @@ def parse_poset_spec(spec: str) -> RankedPoset:
     if spec == "fig1b":
         return gen_fig1b()
     if spec.startswith("trunc(") and spec.endswith(")"):
-        inner = _split_top_level(spec[len("trunc(") : -1])
+        inner = split_top_level(spec[len("trunc(") : -1])
         if len(inner) < 3:
             raise PosetError(f"trunc needs (spec,lo,hi): {spec!r}")
         lo, hi = _spec_ints(spec, inner[-2:], 2)
         return truncate(parse_poset_spec(",".join(inner[:-2])), lo, hi)
     if spec.startswith("prod(") and spec.endswith(")"):
-        inner = _split_top_level(spec[len("prod(") : -1])
+        inner = split_top_level(spec[len("prod(") : -1])
         for cut in range(1, len(inner)):
             left = ",".join(inner[:cut])
             right = ",".join(inner[cut:])

@@ -78,17 +78,11 @@ def check_regular(poset: RankedPoset) -> CheckResult:
     witness is a same-rank pair with differing degree.
     """
     _require_graded(poset)
-    for label, degree in (("lower", poset.d_minus), ("upper", poset.d_plus)):
-        for i, level in enumerate(poset.levels):
-            ref = level[0]
-            for x in level[1:]:
-                if degree(x) != degree(ref):
-                    return CheckResult(
-                        "regular",
-                        False,
-                        witness=(ref, x),
-                        detail={"rank": i, "degree": label},
-                    )
+    if poset.irregular_pair is not None:
+        i, label, ref, x = poset.irregular_pair
+        return CheckResult(
+            "regular", False, witness=(ref, x), detail={"rank": i, "degree": label}
+        )
     profile = {
         "d_minus": [poset.d_minus(level[0]) for level in poset.levels],
         "d_plus": [poset.d_plus(level[0]) for level in poset.levels],

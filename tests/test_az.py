@@ -255,6 +255,11 @@ class TestBeta:
                     k, l = poset.ranks[a], poset.ranks[b]
                     assert beta(poset, table, k, l) == interval_w_sum(poset, a, b)
 
+    @pytest.mark.parametrize("a, b", [(-8, 7), (0, -1), (0, 8)])
+    def test_interval_rejects_foreign_element(self, b3, a, b):
+        with pytest.raises(PosetError):
+            interval_w_sum(b3, a, b)
+
 
 class TestSecondIdentity:
     def test_bottom_top_pair(self, b3):
@@ -274,6 +279,11 @@ class TestSecondIdentity:
         report = second_az_identity(b3, SkewPairSystem(pairs=pairs))
         assert report.total == 1
         assert report.betas == (Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("pair", [(-8, -1), (0, 9)])
+    def test_rejects_foreign_element(self, b3, pair):
+        with pytest.raises(PosetError, match="not in"):
+            second_az_identity(b3, SkewPairSystem(pairs=(pair,)))
 
     def test_skew_violation_detected(self, b3):
         pairs = (

@@ -256,3 +256,51 @@ class TestCoverAndSuite:
         code, lines = run_cli(capsys, "gen", "--poset", spec)
         assert code == 2 and lines[0]["verdict"] == "error"
         assert spec in lines[0]["error"]
+
+
+class TestInputErrors:
+    """Bad --family text and bad @file posets are usage errors: exit 2, JSON report."""
+
+    @pytest.mark.parametrize("family", ["random:x", "random:99:1", "no-such-label"])
+    def test_bad_family_is_usage_error(self, capsys, family):
+        code, lines = run_cli(
+            capsys, "az", "verify", "--poset", "boolean:2", "--family", family,
+            "--identity", "thm1",
+        )
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert family in lines[0]["error"]
+
+    def test_missing_poset_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, lines = run_cli(capsys, "gen", "--poset", f"@{path}")
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert str(path) in lines[0]["error"]
+
+    def test_poset_file_element_without_rank(self, capsys, tmp_path):
+        path = tmp_path / "norank.json"
+        path.write_text(json.dumps({"elements": [{"id": 0}], "covers": []}))
+        code, lines = run_cli(capsys, "gen", "--poset", f"@{path}")
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert "'rank'" in lines[0]["error"] and str(path) in lines[0]["error"]
+
+    def test_poset_file_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"elements": [')
+        code, lines = run_cli(capsys, "gen", "--poset", f"@{path}")
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert str(path) in lines[0]["error"]
+
+    def test_family_file_rejects_json_true(self, capsys, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text("[true]")
+        code, lines = run_cli(
+            capsys, "sperner", "lym", "--poset", "boolean:2", "--family", f"@{path}"
+        )
+        assert code == 2 and str(path) in lines[0]["error"]
+
+    def test_thm1_breakdown_only_when_asked(self, capsys):
+        argv = ["az", "verify", "--poset", "boolean:3", "--family", "1", "--identity", "thm1"]
+        _, plain = run_cli(capsys, *argv)
+        _, detailed = run_cli(capsys, *argv, "--breakdown")
+        assert "breakdown" not in plain[0]
+        assert len(detailed[0]["breakdown"]["terms"]) == 8

@@ -212,6 +212,20 @@ class TestSerialization:
         assert clone.covers == fig1a.covers
         assert clone.labels == fig1a.labels
 
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"elements": [{"id": 0}], "covers": []}, "'rank'"),
+            ({"elements": [{"id": 0, "rank": 0}]}, "'covers'"),
+            ({"elements": [{"id": True, "rank": 0}], "covers": []}, "'id'"),
+            ([], "JSON object"),
+            ("{", "not valid JSON"),
+        ],
+    )
+    def test_bad_json_names_the_key(self, obj, key):
+        with pytest.raises(PosetError, match=key):
+            from_json(obj)
+
     def test_json_str(self, b2):
         obj = json.loads(b2.to_json_str())
         assert {e["id"] for e in obj["elements"]} == set(range(4))

@@ -1,18 +1,31 @@
 """Cross-cutting invariants fuzzed over randomly generated graded posets."""
 
+from fractions import Fraction
+from functools import lru_cache
+
 import networkx as nx
 
 from hypothesis import given, settings, strategies as st
 
 from azsperner import (
+    SkewPairSystem,
+    adjoin_bounds,
+    az_identity_sum,
     build_poset,
     check_normal,
+    compute_w,
     dual_dilworth_decompose,
+    gen_boolean,
+    gen_subspace_lattice,
+    interval_w_sum,
     is_k_sperner,
+    key_lemma_sum,
+    lambda_table,
     lym_sum,
     max_antichain,
+    second_az_identity,
 )
-from azsperner.az import _compute_w_mask
+from azsperner.errors import PosetError
 from azsperner.properties import build_chain_covering, verify_chain_covering
 from azsperner.errors import NotNormalError
 
@@ -91,18 +104,176 @@ def test_upset_idempotent_and_monotone(pf):
     assert poset.upset(smaller) <= up
 
 
+def brute_lower_covers(poset, x):
+    return [v for v in range(poset.n) if poset.lt(v, x) and poset.ranks[v] == poset.ranks[x] - 1]
+
+
+def brute_w(poset, fam, x):
+    """W_A(x) from the definition: lower covers of x above no a in A^x = {a in A : a <= x}.
+
+    Zero when A^x is empty."""
+    below_x = [a for a in fam if poset.leq(a, x)]
+    if not below_x:
+        return 0
+    return sum(
+        1
+        for v in brute_lower_covers(poset, x)
+        if not any(poset.leq(a, v) for a in below_x)
+    )
+
+
+def brute_term(poset, fam, x):
+    """W_A(x)/(d-(x) N_rank(x)), zero when W vanishes."""
+    w = brute_w(poset, fam, x)
+    if not w:
+        return Fraction(0)
+    return Fraction(w, len(brute_lower_covers(poset, x)) * poset.whitney[poset.ranks[x]])
+
+
+def brute_in_upset(poset, fam, x):
+    return any(poset.leq(a, x) for a in fam)
+
+
 @given(poset_and_family())
 @settings(max_examples=80, deadline=None)
 def test_w_equals_boundary_group_size(pf):
     poset, fam = pf
-    fam_mask = 0
-    for a in fam:
-        fam_mask |= 1 << a
     grouped = poset.boundary_edges(fam)
     for x in range(poset.n):
         if poset.ranks[x] == 0:
             continue
-        assert _compute_w_mask(poset, fam_mask, x) == len(grouped.get(x, ()))
+        w = brute_w(poset, fam, x)
+        assert w == len(grouped.get(x, ()))
+        assert compute_w(poset, fam, x) == w
+
+
+@st.composite
+def regular_posets(draw):
+    """Regular graded posets: equal levels of s elements, each consecutive pair
+    joined by a circulant (x_j covers y_(j+t) for t in a nonempty offset set,
+    under random relabellings), with universal bounds adjoined or not."""
+    height = draw(st.integers(min_value=0, max_value=3))
+    s = draw(st.integers(min_value=1, max_value=4))
+    levels = [list(range(r * s, (r + 1) * s)) for r in range(height + 1)]
+    for level in levels:
+        level[:] = draw(st.permutations(level))
+    covers = []
+    for lower, upper in zip(levels, levels[1:]):
+        offsets = draw(st.sets(st.integers(min_value=0, max_value=s - 1), min_size=1))
+        covers += [(lower[(j + t) % s], upper[j]) for j in range(s) for t in offsets]
+    ranks = [(x, x // s) for x in range(s * (height + 1))]
+    poset = build_poset(ranks, covers, name="circulant")
+    return adjoin_bounds(poset) if draw(st.booleans()) else poset
+
+
+def families_of(poset):
+    return st.sets(st.integers(min_value=0, max_value=poset.n - 1), min_size=1)
+
+
+@given(st.one_of(graded_posets().map(adjoin_bounds), regular_posets()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_thm1_matches_brute_force(poset, data):
+    if not poset.is_u_poset:
+        poset = adjoin_bounds(poset)
+    fam = data.draw(families_of(poset))
+    report = az_identity_sum(poset, fam)
+    assert len(report.terms) == poset.n
+    total = Fraction(0)
+    for x, t in enumerate(report.terms):
+        assert t.element == x
+        assert t.in_family == (x in fam)
+        assert t.in_upset == brute_in_upset(poset, fam, x)
+        if poset.ranks[x] == 0:
+            expected = Fraction(int(x in fam))
+            assert t.w == 0 and t.convention_bottom == (x in fam)
+        else:
+            expected = brute_term(poset, fam, x)
+            assert t.w == brute_w(poset, fam, x) and not t.convention_bottom
+        assert t.term == expected
+        total += expected
+    assert report.total == total
+    if poset.irregular_pair is None:
+        assert total == 1
+
+
+@given(regular_posets(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_key_lemma_matches_brute_force(poset, data):
+    fam = data.draw(families_of(poset))
+    top = poset.height
+    total = Fraction(0)
+    for x in range(poset.n):
+        r = poset.ranks[x]
+        if r == 0 and x in fam:
+            total += Fraction(1, poset.whitney[0])
+        elif r == top and not brute_in_upset(poset, fam, x):
+            total += Fraction(1, poset.whitney[top])
+        elif r != 0:
+            total += brute_term(poset, fam, x)
+    assert key_lemma_sum(poset, fam) == total == 1
+
+
+@given(graded_posets(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_interval_w_sum_matches_brute_force(poset, data):
+    a = data.draw(st.integers(min_value=0, max_value=poset.n - 1))
+    b = data.draw(st.sampled_from([y for y in range(poset.n) if poset.leq(a, y)]))
+    expected = sum(
+        (
+            Fraction(1) if poset.ranks[x] == 0 else brute_term(poset, [a], x)
+            for x in range(poset.n)
+            if poset.leq(a, x) and poset.leq(x, b)
+        ),
+        Fraction(0),
+    )
+    assert interval_w_sum(poset, a, b) == expected
+
+
+@lru_cache(maxsize=None)
+def strongly_regular(spec):
+    poset = gen_boolean(spec[1]) if spec[0] == "boolean" else gen_subspace_lattice(*spec[1:])
+    return poset, lambda_table(poset)
+
+
+@given(
+    st.sampled_from([("boolean", 2), ("boolean", 3), ("boolean", 4), ("subspace", 3, 2)]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_thm5_boundary_sum_matches_brute_force(spec, data):
+    poset, table = strongly_regular(spec)
+    candidates = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=poset.n - 1),
+                st.integers(min_value=0, max_value=poset.n - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    pairs = []
+    for pair in candidates:
+        try:
+            SkewPairSystem(pairs=tuple(pairs + [pair])).validate(poset)
+        except PosetError:
+            continue
+        pairs.append(pair)
+    if not pairs:
+        return
+    report = second_az_identity(poset, SkewPairSystem(pairs=tuple(pairs)), table)
+    a_fam = [a for a, _ in pairs]
+    expected = sum(
+        (
+            brute_term(poset, a_fam, x)
+            for x in range(poset.n)
+            if brute_in_upset(poset, a_fam, x)
+            and not any(poset.leq(x, b) for _, b in pairs)
+        ),
+        Fraction(0),
+    )
+    assert report.boundary_sum == expected
+    assert report.total == 1
 
 
 @given(graded_posets())
