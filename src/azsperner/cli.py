@@ -81,13 +81,6 @@ def _ints(text: str, tokens) -> list[int]:
     return ids
 
 
-def _labelled(poset: RankedPoset, label: str) -> int:
-    try:
-        return poset.element_by_label(label)
-    except KeyError:
-        raise PosetError(f"no element labelled {label!r} in {poset.name}") from None
-
-
 def load_poset(spec: str) -> RankedPoset:
     if spec.startswith("@"):
         return from_json(_read_json(spec[1:], "poset"), source=f"poset file {spec[1:]!r}")
@@ -120,7 +113,7 @@ def parse_family(poset: RankedPoset, text: str | None, seed: int | None = None) 
         try:
             members.add(int(token))
         except ValueError:
-            members.add(_labelled(poset, token))
+            members.add(poset.element_by_label(token))
     return frozenset(members)
 
 

@@ -10,9 +10,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ChainLimitError, CoverRankError, NotGradedError, PosetError
+from .errors import (
+    ChainLimitError,
+    CoverRankError,
+    NotGradedError,
+    PosetError,
+    UnknownLabelError,
+)
 
 Family = frozenset[int]
 
@@ -209,7 +215,7 @@ class RankedPoset:
     def element_by_label(self, label: str) -> int:
         if label in self._label_index:
             return self._label_index[label]
-        raise KeyError(f"no element labelled {label!r} in {self.name}")
+        raise UnknownLabelError(f"no element labelled {label!r} in {self.name}")
 
     def rank(self, x: int) -> int:
         return self.ranks[x]
@@ -471,13 +477,15 @@ def from_json(obj: dict | str, source: str = "poset JSON") -> RankedPoset:
     return build_poset(elements, covers, name=name, labels=labels)
 
 
-def iter_families(poset: RankedPoset, ids: Iterable[int]) -> Iterator[int]:
-    for x in ids:
-        if not 0 <= x < poset.n:
-            raise PosetError(f"element {x} not in {poset.name}")
-        yield x
+def element_id(poset: RankedPoset, x) -> int:
+    """x itself if it is an element id of the poset: a non-bool int in 0..n-1."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise PosetError(f"element id {x!r} in {poset.name} is not an integer")
+    if not 0 <= x < poset.n:
+        raise PosetError(f"element {x} not in {poset.name}")
+    return x
 
 
 def family(poset: RankedPoset, ids: Iterable[int]) -> Family:
     """A validated family (set of element ids) inside the poset."""
-    return frozenset(iter_families(poset, ids))
+    return frozenset(element_id(poset, x) for x in ids)

@@ -5,6 +5,12 @@ class PosetError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UnknownLabelError(PosetError, KeyError):
+    """No element carries the label; also a KeyError, as for any failed lookup."""
+
+    __str__ = PosetError.__str__  # KeyError's own __str__ would quote the message
+
+
 class CoverRankError(PosetError):
     """A cover edge does not increase rank by exactly one."""
 

@@ -3,7 +3,12 @@ decomposition, LYM sums, exact maximum oracles, and strict-Sperner checks.
 
 The exhaustive searches are branch-and-bound over elements in rank order; the
 admissible bound comes from a fixed minimum chain cover (any k-Sperner family
-meets a chain of length c in at most min(c, k) elements).
+meets a chain of length c in at most min(c, k) elements).  The search keeps k
+layer bitmasks of the chosen elements, by the length of the longest chosen
+chain ending at each, so a new element's depth is found with at most k mask
+tests against its down-set.  The bound, the sum over cover chains of
+min(k - chosen on the chain, members of the chain still ahead), is passed down
+the recursion: each step changes one chain's term, by at most one.
 """
 
 from __future__ import annotations
@@ -126,6 +131,8 @@ class _KSpernerSearch:
     """Branch and bound over elements in rank order with a chain-cover bound."""
 
     def __init__(self, poset: RankedPoset, k: int, solution_cap: int = SOLUTION_CAP):
+        if k < 1:
+            raise PosetError("k must be at least 1")
         self.poset = poset
         self.k = k
         self.solution_cap = solution_cap
@@ -136,30 +143,30 @@ class _KSpernerSearch:
             for x in chain:
                 self.chain_of[x] = ci
         self.n_chains = len(cover)
-        n = poset.n
-        self.suffix = [[0] * self.n_chains for _ in range(n + 1)]
-        for idx in range(n - 1, -1, -1):
-            row = self.suffix[idx + 1][:]
-            row[self.chain_of[self.order[idx]]] += 1
-            self.suffix[idx] = row
-
-    def _bound(self, idx: int, in_chain: list[int]) -> int:
-        suf = self.suffix[idx]
-        k = self.k
-        return sum(
-            min(k - in_chain[c], suf[c]) for c in range(self.n_chains) if suf[c]
-        )
+        # remaining[idx]: members of order[idx]'s chain at positions idx onwards
+        self.remaining = [0] * poset.n
+        seen = [0] * self.n_chains
+        for idx in range(poset.n - 1, -1, -1):
+            c = self.chain_of[self.order[idx]]
+            seen[c] += 1
+            self.remaining[idx] = seen[c]
+        self.root_bound = sum(min(k, count) for count in seen)
 
     def run(self, target: int | None = None) -> tuple[int, list[Family]]:
         """Find the maximum size, or enumerate all families of the target size."""
-        poset = self.poset
         k = self.k
+        order = self.order
+        n = len(order)
+        chain_of = self.chain_of
+        remaining = self.remaining
+        down = self.poset.down_mask
         enumerate_all = target is not None
-        whitneys = sorted(poset.whitney, reverse=True)
+        whitneys = sorted(self.poset.whitney, reverse=True)
         self.best = target if enumerate_all else sum(whitneys[:k])
         self.found: list[Family] = []
         chosen: list[int] = []
-        depth_of: dict[int, int] = {}
+        # layers[d]: the chosen elements whose longest chosen chain down has d + 1 members
+        layers = [0] * k
         in_chain = [0] * self.n_chains
 
         def record() -> None:
@@ -167,38 +174,42 @@ class _KSpernerSearch:
             if len(self.found) > self.solution_cap:
                 raise SizeLimitError("too many maximum families to enumerate")
 
-        def search(idx: int) -> None:
+        def search(idx: int, bound: int) -> None:
+            # bound: sum over chains c of min(k - in_chain[c], members of c left)
             size = len(chosen)
             if enumerate_all:
                 if size == self.best:
                     record()
                     return
-                if size + self._bound(idx, in_chain) < self.best:
+                if size + bound < self.best:
                     return
             else:
                 if size > self.best:
                     self.best = size
-                if idx == len(self.order):
+                if idx == n:
                     return
-                if size + self._bound(idx, in_chain) <= self.best:
+                if size + bound <= self.best:
                     return
-            if idx == len(self.order):
+            if idx == n:
                 return
-            x = self.order[idx]
-            depth = 1 + max(
-                (depth_of[y] for y in chosen if poset.lt(y, x)), default=0
-            )
-            if depth <= k:
+            x = order[idx]
+            c = chain_of[x]
+            below = down[x]
+            d = k
+            while d and not layers[d - 1] & below:
+                d -= 1
+            if d < k:
+                bit = 1 << x
                 chosen.append(x)
-                depth_of[x] = depth
-                in_chain[self.chain_of[x]] += 1
-                search(idx + 1)
-                in_chain[self.chain_of[x]] -= 1
-                del depth_of[x]
+                layers[d] |= bit
+                in_chain[c] += 1
+                search(idx + 1, bound - 1)
+                in_chain[c] -= 1
+                layers[d] ^= bit
                 chosen.pop()
-            search(idx + 1)
+            search(idx + 1, bound - (remaining[idx] <= k - in_chain[c]))
 
-        search(0)
+        search(0, self.root_bound)
         return self.best, self.found
 
 

@@ -16,7 +16,7 @@ from itertools import permutations
 from typing import Iterable
 
 from .az import az_identity_sum
-from .core import RankedPoset
+from .core import RankedPoset, element_id
 from .errors import (
     EmptySliceError,
     NotMaximalChainError,
@@ -36,11 +36,14 @@ ASSIGN_EXHAUSTIVE_CAP = 500_000
 
 
 def _validate_pairs(p: RankedPoset, q: RankedPoset, fam: Iterable[tuple[int, int]]) -> PairFamily:
-    out = frozenset((a, b) for a, b in fam)
-    for a, b in out:
-        if not (0 <= a < p.n and 0 <= b < q.n):
-            raise PosetError(f"pair ({a},{b}) outside {p.name} x {q.name}")
-    return out
+    out = set()
+    for pair in fam:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise PosetError(f"{pair!r} is not a pair of element ids") from None
+        out.add((element_id(p, a), element_id(q, b)))
+    return frozenset(out)
 
 
 def _conflict(p: RankedPoset, q: RankedPoset, x: tuple[int, int], y: tuple[int, int]) -> bool:
@@ -262,15 +265,26 @@ def well_paired_family(p: RankedPoset, q: RankedPoset) -> tuple[PairFamily, Tran
 
 
 def conflict_graph(p: RankedPoset, q: RankedPoset) -> tuple[list[tuple[int, int]], list[int]]:
-    """Vertices are product elements; edges join conflicting pairs."""
-    vertices = [(a, b) for a in range(p.n) for b in range(q.n)]
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [0] * len(vertices)
-    for i, x in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            if _conflict(p, q, x, vertices[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    """Vertices are product elements; edges join conflicting pairs.
+
+    Vertex (a, b) has index a|Q| + b.  Its row is read off shifted
+    comparability masks: the (c, b) with c comparable to a are
+    p_spread[a] << b, and the (a, d) with d comparable to b are
+    q_comp[b] << a|Q|.  ``_conflict`` is the pairwise definition.
+    """
+    m = q.n
+    vertices = [(a, b) for a in range(p.n) for b in range(m)]
+    q_comp = [(q.up_mask[b] | q.down_mask[b]) ^ (1 << b) for b in range(m)]
+    p_spread = []
+    for a in range(p.n):
+        comp = (p.up_mask[a] | p.down_mask[a]) ^ (1 << a)
+        spread = 0
+        while comp:
+            low = comp & -comp
+            spread |= 1 << (low.bit_length() - 1) * m
+            comp ^= low
+        p_spread.append(spread)
+    adj = [p_spread[a] << b | q_comp[b] << a * m for a, b in vertices]
     return vertices, adj
 
 
@@ -308,7 +322,10 @@ def is_homogeneous_product(
     p: RankedPoset, q: RankedPoset, fam: Iterable[tuple[int, int]]
 ) -> bool:
     """True iff the family is a union of complete level products P_i x Q_j."""
-    fam = _validate_pairs(p, q, fam)
+    return _homogeneous_product(p, q, _validate_pairs(p, q, fam))
+
+
+def _homogeneous_product(p: RankedPoset, q: RankedPoset, fam: PairFamily) -> bool:
     seen: set[tuple[int, int]] = {(p.ranks[a], q.ranks[b]) for a, b in fam}
     expected = sum(p.whitney[i] * q.whitney[j] for i, j in seen)
     return expected == len(fam)
@@ -345,7 +362,7 @@ def verify_strict_two_part(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResul
     size, families = max_two_part_sperner_exact(p, q, enumerate_all=True)
     _, well_paired = best_full_transversal(p, q)
     for fam in families:
-        if not is_homogeneous_product(p, q, fam):
+        if not _homogeneous_product(p, q, fam):  # fam holds valid pairs already
             return StrictTwoPartResult(False, size, well_paired, len(families), fam)
     return StrictTwoPartResult(True, size, well_paired, len(families), None)
 

@@ -180,6 +180,12 @@ class TestSperner:
         assert code == 1
         assert sorted(lines[0]["witness"]) == [2, 3]
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_strict_k_below_one_is_usage_error(self, capsys, k):
+        code, lines = run_cli(capsys, "sperner", "strict", "--poset", "boolean:3", "--k", k)
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert "k must be at least 1" in lines[0]["error"]
+
     def test_lym(self, capsys):
         code, lines = run_cli(
             capsys, "sperner", "lym", "--poset", "boolean:3", "--family", "{1},{2,3}"

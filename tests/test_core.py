@@ -3,6 +3,7 @@ import json
 import pytest
 
 from azsperner import build_poset, from_json
+from azsperner.core import family
 from azsperner.errors import (
     ChainLimitError,
     CoverRankError,
@@ -203,6 +204,17 @@ class TestOrderQueries:
     def test_is_antichain_rejects_foreign_ids(self, b2, bad):
         with pytest.raises(PosetError):
             b2.is_antichain([1, bad])
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_family_rejects_non_integer_ids(self, b3, bad):
+        with pytest.raises(PosetError, match="not an integer"):
+            family(b3, [0, bad])
+        with pytest.raises(PosetError, match="not an integer"):
+            b3.is_antichain([bad])
+
+    def test_unknown_label_is_a_poset_error(self, fig1a):
+        with pytest.raises(PosetError, match="no element labelled 'missing'"):
+            fig1a.element_by_label("missing")
 
 
 class TestSerialization:

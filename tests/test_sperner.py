@@ -21,7 +21,7 @@ from azsperner.errors import (
     PosetError,
     SizeLimitError,
 )
-from azsperner.sperner import is_homogeneous
+from azsperner.sperner import is_homogeneous, max_k_sperner_size
 
 
 def level_set(poset, i):
@@ -202,6 +202,14 @@ class TestStrictSperner:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             check_strict_k_sperner(gen_boolean(5), 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize(
+        "search", [check_strict_k_sperner, max_k_sperner_size, enumerate_maximum_k_sperner]
+    )
+    def test_rejects_k_below_one(self, b3, search, k):
+        with pytest.raises(PosetError, match="k must be at least 1"):
+            search(b3, k)
 
 
 class TestHomogeneous:

@@ -24,9 +24,10 @@ from azsperner.errors import (
     NotMaximalChainError,
     NotStrictlyNormalError,
     NotTwoPartSpernerError,
+    PosetError,
     SizeLimitError,
 )
-from azsperner.twopart import is_two_part_sperner_slices
+from azsperner.twopart import is_homogeneous_product, is_two_part_sperner_slices
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +193,19 @@ class TestExactMaxima:
     def test_size_limit(self, b3):
         with pytest.raises(SizeLimitError):
             max_two_part_sperner_exact(b3, b3, enumerate_all=True)
+
+
+class TestPairValidation:
+    @pytest.mark.parametrize(
+        "pair", [(1.0, 0), (0, 1.0), (True, 0), (0, False), (8, 0), (0, -1), (1,), (0, 0, 0), 5]
+    )
+    def test_rejects_foreign_or_non_integer_ids(self, b3, b2, pair):
+        with pytest.raises(PosetError):
+            two_part_lym(b3, b2, [pair])
+        with pytest.raises(PosetError):
+            is_two_part_sperner(b3, b2, [(0, 0), pair])
+        with pytest.raises(PosetError):
+            is_homogeneous_product(b3, b2, [pair])
 
 
 class TestStrictTwoPart:
