@@ -93,32 +93,40 @@ def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
     )
 
 
+def _factorize(m: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of m in ascending prime order, by trial division up to sqrt(m)."""
+    factors = []
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            factors.append((f, e))
+        f += 1
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
 def gen_divisor_lattice(m: int) -> RankedPoset:
-    """Divisors of m under divisibility; rank counts prime factors with multiplicity."""
+    """Divisors of m under divisibility; rank counts prime factors with multiplicity.
+
+    The divisors come from the factorization of m, ids in ascending order.
+    """
     if m < 1:
         raise PosetError("modulus must be positive")
-    divisors = [d for d in range(1, m + 1) if m % d == 0]
-    if len(divisors) > ELEMENT_CAP:
+    factors = _factorize(m)
+    if math.prod(e + 1 for _, e in factors) > ELEMENT_CAP:
         raise SizeLimitError("too many divisors")
+    omega = {1: 0}
+    for p, e in factors:
+        omega = {d * p**k: w + k for d, w in omega.items() for k in range(e + 1)}
+    divisors = sorted(omega)
     index = {d: i for i, d in enumerate(divisors)}
-
-    def omega(d: int) -> int:
-        count = 0
-        f = 2
-        while f * f <= d:
-            while d % f == 0:
-                d //= f
-                count += 1
-            f += 1
-        return count + (1 if d > 1 else 0)
-
-    primes = [p for p in divisors if omega(p) == 1]
-    elements = [(i, omega(d)) for d, i in index.items()]
-    covers = []
-    for d in divisors:
-        for p in primes:
-            if d * p <= m and m % (d * p) == 0:
-                covers.append((index[d], index[d * p]))
+    elements = [(i, omega[d]) for i, d in enumerate(divisors)]
+    covers = [(index[d], index[d * p]) for d in divisors for p, _ in factors if (m // d) % p == 0]
     labels = [str(d) for d in divisors]
     return build_poset(elements, covers, name=f"divisor:{m}", labels=labels)
 
@@ -353,6 +361,14 @@ def split_top_level(s: str) -> list[str]:
 _SPEC_ARITY = {"boolean": 1, "star": 2, "chains": None, "subspace": 2, "affine": 2, "divisor": 1}
 
 
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _spec_ints(spec: str, tokens: list[str], count: int | None) -> list[int]:
     """The integer arguments of a spec, or a PosetError that names the spec."""
     try:
@@ -384,14 +400,22 @@ def parse_poset_spec(spec: str) -> RankedPoset:
         return truncate(parse_poset_spec(",".join(inner[:-2])), lo, hi)
     if spec.startswith("prod(") and spec.endswith(")"):
         inner = split_top_level(spec[len("prod(") : -1])
-        for cut in range(1, len(inner)):
-            left = ",".join(inner[:cut])
-            right = ",".join(inner[cut:])
-            try:
-                return product(parse_poset_spec(left), parse_poset_spec(right))
-            except (PosetError, ValueError):
-                continue
-        raise PosetError(f"cannot split product spec {spec!r}")
+        # the second factor starts at a token that is not an integer argument
+        cuts = [cut for cut in range(1, len(inner)) if not _is_int(inner[cut])]
+        failure = None
+        for cut in cuts:
+            factors = []
+            for part in (",".join(inner[:cut]), ",".join(inner[cut:])):
+                try:
+                    factors.append(parse_poset_spec(part))
+                except PosetError as exc:
+                    failure = failure or f"factor {part.strip()!r}: {exc}"
+                    break
+            else:
+                return product(*factors)
+        raise PosetError(
+            f"cannot split product spec {spec!r}: {failure or 'it needs two factor specs'}"
+        )
     if ":" not in spec:
         raise PosetError(f"unrecognized poset spec {spec!r}")
     kind, _, argstr = spec.partition(":")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .core import RankedPoset
@@ -299,6 +300,15 @@ class ChainCovering:
             w *= self.g.get((x, y), Fraction(0)) * self.poset.whitney[self.poset.ranks[x]]
         return w
 
+    def integer_chain_weights(self, chains: Sequence[Sequence[int]]) -> tuple[list[int], int, int]:
+        """chain_weight of many maximal chains at once, in integers.
+
+        Returns (ws, P, Q) with chain_weight(chains[k]) == ws[k] * P / Q; g is
+        scaled per level by the lcm of its denominators, so no Fraction is built.
+        """
+        e, lcms = _scaled_edges(self.poset, self.g)
+        return (_chain_products(e, chains), *_chain_scale(self.poset, lcms))
+
     def to_json(self) -> dict:
         return {
             f"{x},{y}": f"{w.numerator}/{w.denominator}" for (x, y), w in sorted(self.g.items())
@@ -348,35 +358,82 @@ class CoveringReport:
         }
 
 
+def _scaled_edges(
+    poset: RankedPoset, g: dict[tuple[int, int], Fraction]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """g as integers, scaled per level: (e, lcms).
+
+    lcms[i] is the lcm of the denominators of g on the covers leaving level
+    i, and e[x][y] = g(x, y) * lcms[rank x] for every cover (x, y), 0 where g
+    has no entry.  Only numerators and denominators are read.
+    """
+    e: list[dict[int, int]] = [{} for _ in range(poset.n)]
+    lcms = []
+    for level in poset.levels[:-1]:
+        rows = [[(y, g.get((x, y))) for y in poset.up_adj[x]] for x in level]
+        scale = lcm(*(w.denominator for row in rows for _, w in row if w is not None))
+        lcms.append(scale)
+        for x, row in zip(level, rows):
+            e[x] = {y: 0 if w is None else w.numerator * (scale // w.denominator) for y, w in row}
+    return e, lcms
+
+
+def _chain_scale(poset: RankedPoset, lcms: Sequence[int]) -> tuple[int, int]:
+    """(P, Q) with chain weight = (product of e along the chain) * P / Q.
+
+    f(C) = (1/N_0) * prod g(x, y) N_{rank x} with g = e / lcms[rank x], so
+    P = N_0 ... N_{h-1} and Q = N_0 * lcms[0] ... lcms[h-1].  At height 0 the
+    products are empty and every chain weighs 1/N_0.
+    """
+    return prod(poset.whitney[: poset.height]), poset.whitney[0] * prod(lcms)
+
+
+def _chain_products(e: Sequence[dict[int, int]], chains: Sequence[Sequence[int]]) -> list[int]:
+    """Per chain, the product of the scaled edge weights along it."""
+    out = []
+    for chain in chains:
+        w = 1
+        x = chain[0]
+        for y in chain[1:]:
+            w *= e[x][y]
+            if not w:
+                break
+            x = y
+        out.append(w)
+    return out
+
+
 def verify_chain_covering(
     poset: RankedPoset, covering: ChainCovering, limit: int = 100_000
 ) -> CoveringReport:
     """Check the covering twice: marginal conditions on g, and full chain enumeration.
 
     Chain enumeration verifies that the induced weights sum to one and hit
-    every element with mass 1/N_{rank}; the two routes must agree.
+    every element with mass 1/N_{rank}; the two routes must agree.  Every
+    maximal chain is enumerated and weighed, so this stays an independent
+    route beside the marginals.
+
+    All arithmetic is on exact integers.  Level i's edges are scaled by the
+    lcm L_i of their denominators, e = g * L_i, so a chain weighs
+    (product of e) * (N_0 ... N_{h-1}) / (N_0 * L_0 ... L_{h-1}), and every
+    condition becomes an integer cross-multiplication.  The report's total is
+    the one Fraction built.
     """
     violations: list[str] = []
     marginals_ok = True
     for (x, y), w in covering.g.items():
-        if w < 0:
+        if w.numerator < 0:
             marginals_ok = False
             violations.append(f"negative weight on edge ({x},{y})")
-    for i in range(poset.height):
+    e, lcms = _scaled_edges(poset, covering.g)
+    for i, scale in enumerate(lcms):
+        n_lo, n_hi = poset.whitney[i], poset.whitney[i + 1]
         for x in poset.levels[i]:
-            row = sum(
-                (covering.g.get((x, y), Fraction(0)) for y in poset.up_adj[x]),
-                Fraction(0),
-            )
-            if row != Fraction(1, poset.whitney[i]):
+            if sum(e[x].values()) * n_lo != scale:
                 marginals_ok = False
                 violations.append(f"row sum at element {x}")
         for y in poset.levels[i + 1]:
-            col = sum(
-                (covering.g.get((x, y), Fraction(0)) for x in poset.down_adj[y]),
-                Fraction(0),
-            )
-            if col != Fraction(1, poset.whitney[i + 1]):
+            if sum(e[x][y] for x in poset.down_adj[y]) * n_hi != scale:
                 marginals_ok = False
                 violations.append(f"column sum at element {y}")
 
@@ -385,25 +442,26 @@ def verify_chain_covering(
         raise ChainLimitError(f"{total} maximal chains exceed the cap {limit}")
     chains = poset.enumerate_maximal_chains(limit)
     chains_ok = True
-    mass = Fraction(0)
-    per_element = [Fraction(0)] * poset.n
-    for chain in chains:
-        w = covering.chain_weight(chain)
-        mass += w
-        for x in chain:
-            per_element[x] += w
-    if mass != 1:
+    mass = 0
+    per_element = [0] * poset.n
+    for chain, w in zip(chains, _chain_products(e, chains)):
+        if w:
+            mass += w
+            for x in chain:
+                per_element[x] += w
+    p, q = _chain_scale(poset, lcms)
+    if mass * p != q:
         chains_ok = False
         violations.append("total chain mass differs from 1")
     for x in range(poset.n):
-        if per_element[x] != Fraction(1, poset.whitney[poset.ranks[x]]):
+        if per_element[x] * p * poset.whitney[poset.ranks[x]] != q:
             chains_ok = False
             violations.append(f"element mass at {x}")
     return CoveringReport(
         holds=marginals_ok and chains_ok,
         marginals_ok=marginals_ok,
         chains_ok=chains_ok,
-        total=mass,
+        total=Fraction(mass * p, q),
         violations=tuple(violations),
     )
 

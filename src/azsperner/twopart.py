@@ -435,24 +435,31 @@ def product_covering_report(
     cov2 = cov2 or build_chain_covering(q)
     chains1 = p.enumerate_maximal_chains()
     chains2 = q.enumerate_maximal_chains()
+    # each factor's chains are weighed once, as integers: f(C) = w * P / Q
+    ws1, p1, q1 = cov1.integer_chain_weights(chains1)
+    ws2, p2, q2 = cov2.integer_chain_weights(chains2)
+    # a pair of zero weight adds nothing to any count or to the mass
+    weighed2 = [(c2, w2) for c2, w2 in zip(chains2, ws2) if w2]
     n2_plus_1 = min(p.height, q.height) + 1
     positive = 0
     equal = 0
-    meeting_mass = Fraction(0)
+    meeting = 0
     holds = True
-    for c1 in chains1:
-        w1 = cov1.chain_weight(c1)
-        for c2 in chains2:
-            weight = w1 * cov2.chain_weight(c2)
+    for c1, w1 in zip(chains1, ws1):
+        if not w1:
+            continue
+        for c2, w2 in weighed2:
+            weight = w1 * w2
             count = sum(1 for a in c1 for b in c2 if (a, b) in fam)
             if count:
-                meeting_mass += weight
+                meeting += weight
             if weight > 0:
                 positive += 1
                 if count == n2_plus_1:
                     equal += 1
                 else:
                     holds = False
+    meeting_mass = Fraction(meeting * p1 * p2, q1 * q2)
     if meeting_mass != 1:
         holds = False
     return ChainPairReport(

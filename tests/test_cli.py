@@ -263,6 +263,12 @@ class TestCoverAndSuite:
         assert code == 2 and lines[0]["verdict"] == "error"
         assert spec in lines[0]["error"]
 
+    def test_bad_product_factor_is_usage_error(self, capsys):
+        code, lines = run_cli(capsys, "gen", "--poset", "prod(boolean:2,chains:x)")
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert "factor 'chains:x'" in lines[0]["error"]
+        assert "needs integer arguments" in lines[0]["error"]
+
 
 class TestInputErrors:
     """Bad --family text and bad @file posets are usage errors: exit 2, JSON report."""

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from azsperner import (
+    build_poset,
     check_level_connected,
     check_normal,
     check_regular,
@@ -162,6 +163,39 @@ class TestDivisorLattice:
         p = gen_divisor_lattice(7)
         assert list(p.whitney) == [1, 1]
 
+    def test_matches_trial_division_build(self):
+        # the old construction: every d in 1..m tested, primes among the divisors
+        def brute(m):
+            divisors = [d for d in range(1, m + 1) if m % d == 0]
+            omega = {1: 0}
+            for d in divisors[1:]:
+                p = next(f for f in divisors[1:] if d % f == 0)
+                omega[d] = omega[d // p] + 1
+            primes = [d for d in divisors if omega[d] == 1]
+            index = {d: i for i, d in enumerate(divisors)}
+            covers = [
+                (index[d], index[d * p]) for d in divisors for p in primes if m % (d * p) == 0
+            ]
+            return build_poset(
+                [(index[d], omega[d]) for d in divisors],
+                covers,
+                name=f"divisor:{m}",
+                labels=[str(d) for d in divisors],
+            )
+
+        for m in range(1, 2001):
+            assert gen_divisor_lattice(m).to_json() == brute(m).to_json(), m
+
+    def test_large_modulus(self):
+        p = parse_poset_spec("divisor:100000000")
+        assert p.n == 81
+        assert isomorphic(p, gen_chain_product([9, 9]))
+
+    def test_divisor_cap(self):
+        # 5^8 = 390,625 divisors: refused from the exponents, before any is listed
+        with pytest.raises(SizeLimitError, match="too many divisors"):
+            gen_divisor_lattice((2 * 3 * 5 * 7 * 11 * 13 * 17 * 19) ** 4)
+
 
 class TestTruncateAndProduct:
     def test_truncate_whitney(self):
@@ -224,6 +258,22 @@ class TestSpecParser:
     def test_bad_spec(self):
         with pytest.raises(PosetError):
             parse_poset_spec("mystery:3")
+
+    @pytest.mark.parametrize(
+        "spec,factor",
+        [
+            ("prod(boolean:2,chains:x)", "'chains:x'"),
+            ("prod(chains:x,boolean:2)", "'chains:x'"),
+            ("prod(chains:3,2,boolean:x)", "'boolean:x'"),
+        ],
+    )
+    def test_bad_product_factor_is_named(self, spec, factor):
+        with pytest.raises(PosetError, match=f"factor {factor}: .*needs integer arguments"):
+            parse_poset_spec(spec)
+
+    def test_product_needs_two_factors(self):
+        with pytest.raises(PosetError, match="needs two factor specs"):
+            parse_poset_spec("prod(boolean:2)")
 
 
 class TestFields:
