@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .az import (
     SkewPairSystem,
@@ -389,11 +389,12 @@ def criterion_8() -> CriterionResult:
                 return False, {"product": (p.name, q.name), "result": result.to_json()}
             maxima[f"{p.name} x {q.name}"] = result.max_size
         b2 = gen_boolean(2)
-        perm_values = set()
-        from itertools import permutations
-
-        for perm in permutations(range(3)):
-            perm_values.add(sum(b2.whitney[i] * b2.whitney[perm[i]] for i in range(3)))
+        # every bijection of b2's three levels onto themselves
+        perm_values = {
+            sum(b2.whitney[i] * b2.whitney[perm[i]] for i in range(3))
+            for perm in product(range(3), repeat=3)
+            if len(set(perm)) == 3
+        }
         if max(perm_values) != 6 or maxima["boolean:2 x boolean:2"] != 6:
             return False, {"permutation_values": sorted(perm_values)}
         return True, {"maxima": maxima, "b2xb2_permutation_max": 6}

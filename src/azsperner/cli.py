@@ -44,7 +44,6 @@ from .sperner import (
     max_antichain,
 )
 from .twopart import (
-    best_full_transversal,
     max_two_part_sperner_exact,
     two_part_az_sum,
     two_part_lym,
@@ -403,7 +402,6 @@ def cmd_twopart(args) -> int:
         return 0
     if args.action == "well-paired":
         fam, transversal = well_paired_family(p, q)
-        _, value = best_full_transversal(p, q)
         emit(
             _report(
                 "twopart",
@@ -411,7 +409,7 @@ def cmd_twopart(args) -> int:
                 p=p.name,
                 q=q.name,
                 action="well-paired",
-                size=value,
+                size=len(fam),
                 transversal=transversal.to_json(),
                 family=sorted(fam),
             )

@@ -22,6 +22,7 @@ from .errors import (
 from .gf import field, gaussian_binomial, is_prime_power
 
 ELEMENT_CAP = 100_000
+TRIAL_DIVISION_CAP = 10**6
 
 
 def gen_boolean(n: int) -> RankedPoset:
@@ -94,10 +95,12 @@ def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
 
 
 def _factorize(m: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of m in ascending prime order, by trial division up to sqrt(m)."""
+    """(prime, exponent) pairs of m in ascending prime order, by trial division
+    up to min(sqrt(m), TRIAL_DIVISION_CAP); a larger cofactor is refused."""
+    modulus = m
     factors = []
     f = 2
-    while f * f <= m:
+    while f * f <= m and f <= TRIAL_DIVISION_CAP:
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -105,6 +108,11 @@ def _factorize(m: int) -> list[tuple[int, int]]:
                 e += 1
             factors.append((f, e))
         f += 1
+    if m >= TRIAL_DIVISION_CAP**2:
+        raise SizeLimitError(
+            f"divisor:{modulus}: cofactor {m} has no prime factor up to {TRIAL_DIVISION_CAP}"
+            " and is too large to certify prime"
+        )
     if m > 1:
         factors.append((m, 1))
     return factors

@@ -186,20 +186,17 @@ def check_level_connected(poset: RankedPoset) -> CheckResult:
     """Each consecutive-level bipartite cover graph must be connected."""
     _require_graded(poset)
     for i in range(poset.height):
-        nodes = list(poset.levels[i]) + list(poset.levels[i + 1])
-        adjacency = {x: set() for x in nodes}
-        for lo, hi in poset.covers:
-            if poset.ranks[lo] == i:
-                adjacency[lo].add(hi)
-                adjacency[hi].add(lo)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
+        # covers join consecutive ranks: level i reaches up, level i + 1 down
+        start = poset.levels[i][0]
+        seen = {start}
+        stack = [start]
         while stack:
-            for y in adjacency[stack.pop()]:
+            x = stack.pop()
+            for y in poset.up_adj[x] if poset.ranks[x] == i else poset.down_adj[x]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        if len(seen) != len(nodes):
+        if len(seen) != poset.whitney[i] + poset.whitney[i + 1]:
             return CheckResult(
                 "level-connected", False, witness=None, detail={"level": i}
             )

@@ -47,26 +47,34 @@ def _strict_pairs(poset: RankedPoset) -> list[tuple[int, int]]:
     return pairs
 
 
+def _depth_layers(poset: RankedPoset, fam: Iterable[int]) -> list[list[int]]:
+    """Layer d: the members, in (rank, id) order, whose longest chain inside
+    the family ending there has d + 1 elements, found by down-set mask tests."""
+    down = poset.down_mask
+    layers: list[list[int]] = []
+    masks: list[int] = []
+    for x in sorted(family(poset, fam), key=lambda x: (poset.ranks[x], x)):
+        d = len(masks)
+        while d and not masks[d - 1] & down[x]:
+            d -= 1
+        if d == len(masks):
+            layers.append([])
+            masks.append(0)
+        layers[d].append(x)
+        masks[d] |= 1 << x
+    return layers
+
+
 def longest_chain_in(poset: RankedPoset, fam: Iterable[int]) -> list[int]:
-    """A longest chain inside the family, bottom to top."""
-    members = sorted(fam, key=lambda x: (poset.ranks[x], x))
-    best_len: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    for x in members:
-        best, par = 1, None
-        for y in members:
-            if y == x:
-                break
-            if poset.lt(y, x) and best_len[y] + 1 > best:
-                best, par = best_len[y] + 1, y
-        best_len[x] = best
-        parent[x] = par
-    if not members:
+    """A longest chain inside the family, bottom to top: from the first member
+    of the deepest layer, each step down takes the first member below it."""
+    layers = _depth_layers(poset, fam)
+    if not layers:
         return []
-    end = max(members, key=lambda x: best_len[x])
-    chain = [end]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
+    chain = [layers[-1][0]]
+    for layer in reversed(layers[:-1]):
+        below = poset.down_mask[chain[-1]]
+        chain.append(next(y for y in layer if below >> y & 1))
     return chain[::-1]
 
 
@@ -84,18 +92,7 @@ def is_k_sperner(
 
 def dual_dilworth_decompose(poset: RankedPoset, fam: Iterable[int]) -> list[Family]:
     """Peel minimal elements repeatedly; part count equals the longest chain."""
-    members = sorted(fam, key=lambda x: (poset.ranks[x], x))
-    depth: dict[int, int] = {}
-    for x in members:
-        depth[x] = 1 + max(
-            (depth[y] for y in members if y in depth and poset.lt(y, x)), default=0
-        )
-    parts: list[set[int]] = []
-    for x, d in depth.items():
-        while len(parts) < d:
-            parts.append(set())
-        parts[d - 1].add(x)
-    return [frozenset(p) for p in parts]
+    return [frozenset(layer) for layer in _depth_layers(poset, fam)]
 
 
 def lym_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable
 
 from .az import az_identity_sum
@@ -32,7 +31,6 @@ PairFamily = frozenset[tuple[int, int]]
 
 MIS_CAP = 64
 ENUMERATE_CAP = 36
-ASSIGN_EXHAUSTIVE_CAP = 500_000
 
 
 def _validate_pairs(p: RankedPoset, q: RankedPoset, fam: Iterable[tuple[int, int]]) -> PairFamily:
@@ -195,58 +193,53 @@ class Transversal:
         return {"pairs": [list(ij) for ij in self.pairs], "full": self.full}
 
 
+def _sorted_pairing(xs: Iterable[int], ys: Iterable[int], count: int) -> int:
+    """The largest sum of `count` products x*y of non-negative values picked
+    without reuse: the sorted pairing."""
+    xs = sorted(xs, reverse=True)[:count]
+    ys = sorted(ys, reverse=True)[:count]
+    return sum(a * b for a, b in zip(xs, ys))
+
+
 def well_paired_value(p: RankedPoset, q: RankedPoset) -> int:
     """Pair the t largest levels of each factor in sorted order (t = min rank + 1)."""
-    t = min(p.height, q.height) + 1
-    ps = sorted(p.whitney, reverse=True)[:t]
-    qs = sorted(q.whitney, reverse=True)[:t]
-    return sum(a * b for a, b in zip(ps, qs))
+    return _sorted_pairing(p.whitney, q.whitney, min(p.height, q.height) + 1)
 
 
 def best_full_transversal(p: RankedPoset, q: RankedPoset) -> tuple[Transversal, int]:
-    """A full transversal maximizing the sum of paired level sizes.
+    """The lexicographically smallest full transversal of maximum level-product sum.
 
-    Exhausted over injections at desk scale (lexicographically smallest
-    optimum), otherwise solved as a rectangular assignment.  The optimum
-    always equals the sorted well-paired pairing value.
+    The cost N_i M_j is rank-one with non-negative entries, so by the
+    rearrangement inequality the optimum is the sorted pairing
+    (`well_paired_value`).  The pairs are fixed smallest first: a candidate
+    (i, j) is kept only if the sorted pairing of the levels still free (the
+    P-levels above i, the unused Q-levels) completes the optimum.  This gives
+    the lexicographically smallest optimum at every size.
     """
-    t = min(p.height, q.height) + 1
-    p_levels = range(p.height + 1)
-    q_levels = range(q.height + 1)
-    swap = p.height < q.height
-    big_levels = q_levels if swap else p_levels
-    small = p_levels if swap else q_levels
-
-    count = 1
-    for i in range(t):
-        count *= len(big_levels) - i
-    if count <= ASSIGN_EXHAUSTIVE_CAP:
-        best_value = -1
-        best_pairs: tuple[tuple[int, int], ...] | None = None
-        for perm in permutations(big_levels, t):
-            if swap:
-                pairs = tuple(sorted((j, perm[j]) for j in small))
-            else:
-                pairs = tuple(sorted((perm[j], j) for j in small))
-            value = sum(p.whitney[i] * q.whitney[j] for i, j in pairs)
-            if value > best_value or (value == best_value and pairs < best_pairs):
-                best_value, best_pairs = value, pairs
-    else:
-        import numpy as np
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.array(
-            [[p.whitney[i] * q.whitney[j] for j in q_levels] for i in p_levels]
+    a, b = p.whitney, q.whitney
+    t = min(len(a), len(b))
+    expected = need = well_paired_value(p, q)
+    pairs: list[tuple[int, int]] = []
+    free_q = list(range(len(b)))
+    for left in range(t - 1, -1, -1):
+        # the first free Q-level of each size: equal sizes leave the same sizes free
+        firsts = sorted({b[j]: j for j in reversed(free_q)}.values())
+        i, j = next(
+            (
+                (i, j)
+                for i in range(pairs[-1][0] + 1 if pairs else 0, len(a))
+                for j in firsts
+                if a[i] * b[j] + _sorted_pairing(a[i + 1 :], [b[y] for y in free_q if y != j], left)
+                == need
+            ),
+            (None, None),
         )
-        rows, cols = linear_sum_assignment(cost, maximize=True)
-        best_pairs = tuple(sorted(zip(rows.tolist(), cols.tolist())))
-        best_value = int(cost[rows, cols].sum())
-    expected = well_paired_value(p, q)
-    if best_value != expected:
-        raise PosetError(
-            f"transversal optimum {best_value} disagrees with sorted pairing {expected}"
-        )
-    return Transversal(pairs=best_pairs, full=len(best_pairs) == t), best_value
+        if i is None:
+            raise PosetError(f"no full transversal reaches the sorted pairing {expected}")
+        pairs.append((i, j))
+        free_q.remove(j)
+        need -= a[i] * b[j]
+    return Transversal(pairs=tuple(pairs), full=len(pairs) == t), expected
 
 
 def well_paired_family(p: RankedPoset, q: RankedPoset) -> tuple[PairFamily, Transversal]:
@@ -360,7 +353,7 @@ def verify_strict_two_part(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResul
         if not check_strictly_normal(poset).holds:
             raise NotStrictlyNormalError(f"{poset.name} is not strictly normal")
     size, families = max_two_part_sperner_exact(p, q, enumerate_all=True)
-    _, well_paired = best_full_transversal(p, q)
+    well_paired = well_paired_value(p, q)
     for fam in families:
         if not _homogeneous_product(p, q, fam):  # fam holds valid pairs already
             return StrictTwoPartResult(False, size, well_paired, len(families), fam)

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import azsperner
 from azsperner.cli import main
 
 
@@ -269,6 +273,11 @@ class TestCoverAndSuite:
         assert "factor 'chains:x'" in lines[0]["error"]
         assert "needs integer arguments" in lines[0]["error"]
 
+    def test_unfactorable_divisor_is_usage_error(self, capsys):
+        code, lines = run_cli(capsys, "gen", "--poset", "divisor:100000000000031")
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert "divisor:100000000000031" in lines[0]["error"]
+
 
 class TestInputErrors:
     """Bad --family text and bad @file posets are usage errors: exit 2, JSON report."""
@@ -316,3 +325,29 @@ class TestInputErrors:
         _, detailed = run_cli(capsys, *argv, "--breakdown")
         assert "breakdown" not in plain[0]
         assert len(detailed[0]["breakdown"]["terms"]) == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twopart", "well-paired", "--p", "boolean:9", "--q", "boolean:9"],
+        ["suite", "--criterion", "8"],
+    ],
+)
+def test_runs_without_scipy_or_numpy(argv):
+    # a None entry in sys.modules makes every import of that name fail
+    src = str(Path(azsperner.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['scipy'] = sys.modules['numpy'] = None; "
+        f"from azsperner.cli import main; sys.exit(main({argv!r}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[0])
+    if argv[0] == "twopart":
+        assert report["transversal"]["pairs"] == [[i, i] for i in range(10)]
+        assert report["size"] == 48620
+    else:
+        assert report["criterion"] == 8 and report["passed"] is True

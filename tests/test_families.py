@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product as iproduct
 
 import networkx as nx
@@ -195,6 +196,32 @@ class TestDivisorLattice:
         # 5^8 = 390,625 divisors: refused from the exponents, before any is listed
         with pytest.raises(SizeLimitError, match="too many divisors"):
             gen_divisor_lattice((2 * 3 * 5 * 7 * 11 * 13 * 17 * 19) ** 4)
+
+    def test_large_prime_refused_quickly(self):
+        # trial division stops at 10**6; the 15-digit prime cofactor cannot be certified
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="divisor:100000000000031"):
+            gen_divisor_lattice(100000000000031)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cofactor_below_cap_squared_is_prime(self):
+        assert list(gen_divisor_lattice(999999999989).whitney) == [1, 1]  # largest prime < 10**12
+        assert list(gen_divisor_lattice(999983 * 999979).whitney) == [1, 2, 1]
+        assert list(gen_divisor_lattice(2 * 999999999989).whitney) == [1, 2, 1]
+
+    @pytest.mark.parametrize("p, a, q, b", [(2, 60, 3, 0), (2, 8, 5, 8)])
+    def test_two_prime_moduli_unchanged(self, p, a, q, b):
+        # divisor:2**60 and divisor:10**8, listed from their exponents
+        divisors = sorted((p**i * q**j, i + j) for i in range(a + 1) for j in range(b + 1))
+        index = {d: k for k, (d, _) in enumerate(divisors)}
+        covers = [(index[d], index[d * f]) for d, _ in divisors for f in (p, q) if d * f in index]
+        expected = build_poset(
+            [(index[d], r) for d, r in divisors],
+            covers,
+            name=f"divisor:{p**a * q**b}",
+            labels=[str(d) for d, _ in divisors],
+        )
+        assert parse_poset_spec(f"divisor:{p**a * q**b}").to_json() == expected.to_json()
 
 
 class TestTruncateAndProduct:

@@ -1,0 +1,152 @@
+"""The best full transversal against an exhaustive oracle.
+
+`best_full_transversal` fixes the sorted pairs greedily, checking each
+candidate against the sorted pairing of the levels still free.  The oracle
+below walks every injection of the smaller factor's levels and keeps the
+lexicographically smallest optimum.
+"""
+
+from itertools import permutations, product
+from math import comb
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import azsperner.cli as cli
+import azsperner.twopart as twopart
+from azsperner import best_full_transversal, build_poset, parse_poset_spec
+from azsperner.twopart import Transversal, well_paired_value
+
+
+def exhaustive_transversal(p, q) -> tuple[Transversal, int]:
+    t = min(p.height, q.height) + 1
+    swap = p.height < q.height
+    big = range((q if swap else p).height + 1)
+    small = range((p if swap else q).height + 1)
+    best_value = -1
+    best_pairs = None
+    for perm in permutations(big, t):
+        if swap:
+            pairs = tuple(sorted((j, perm[j]) for j in small))
+        else:
+            pairs = tuple(sorted((perm[j], j) for j in small))
+        value = sum(p.whitney[i] * q.whitney[j] for i, j in pairs)
+        if value > best_value or (value == best_value and pairs < best_pairs):
+            best_value, best_pairs = value, pairs
+    return Transversal(pairs=best_pairs, full=len(best_pairs) == t), best_value
+
+
+def whitney_poset(sizes):
+    """A graded poset with the given level sizes, consecutive levels fully joined."""
+    levels, elements = [], []
+    for rank, size in enumerate(sizes):
+        levels.append(range(len(elements), len(elements) + size))
+        elements += [(x, rank) for x in levels[-1]]
+    covers = [(x, y) for lo, hi in zip(levels, levels[1:]) for x in lo for y in hi]
+    return build_poset(elements, covers, name=f"whitney:{sizes}")
+
+
+def whitney_vectors(min_height, max_height):
+    """Level sizes 1..4, so that many levels tie."""
+    sizes = st.integers(min_value=1, max_value=4)
+    return st.lists(sizes, min_size=min_height + 1, max_size=max_height + 1)
+
+
+@st.composite
+def whitney_pairs(draw, relation):
+    if relation == "<":
+        a = draw(whitney_vectors(0, 4))
+        b = draw(whitney_vectors(len(a), 5))
+    elif relation == "=":
+        a = draw(whitney_vectors(0, 5))
+        b = draw(whitney_vectors(len(a) - 1, len(a) - 1))
+    else:
+        b = draw(whitney_vectors(0, 4))
+        a = draw(whitney_vectors(len(b), 5))
+    return whitney_poset(a), whitney_poset(b)
+
+
+@pytest.mark.parametrize("relation", ["<", "=", ">"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_greedy_matches_exhaustive_oracle(relation, data):
+    p, q = data.draw(whitney_pairs(relation))
+    sign = (p.height > q.height) - (p.height < q.height)
+    assert sign == {"<": -1, "=": 0, ">": 1}[relation]
+    transversal, value = best_full_transversal(p, q)
+    expected, expected_value = exhaustive_transversal(p, q)
+    assert transversal == expected
+    assert value == expected_value == well_paired_value(p, q)
+    assert transversal.full
+
+
+SPECS = [
+    "boolean:0", "boolean:2", "boolean:4", "chains:3", "chains:3,2,2",
+    "subspace:3,2", "star:2,3", "divisor:360", "fig1a", "fig1b",
+]
+
+
+@pytest.mark.parametrize("p_spec", SPECS)
+def test_generated_posets_match_oracle(p_spec):
+    p = parse_poset_spec(p_spec)
+    for q_spec in SPECS:
+        q = parse_poset_spec(q_spec)
+        transversal, value = best_full_transversal(p, q)
+        expected, expected_value = exhaustive_transversal(p, q)
+        assert transversal.to_json() == expected.to_json()
+        assert value == expected_value
+
+
+def test_empty_levels_match_oracle():
+    # ranks may skip a level, which then has size 0
+    vectors = [v for v in product(range(3), repeat=3) if v[-1]] + [(1,), (0, 2), (3, 0, 0, 1)]
+    posets = [whitney_poset(v) for v in vectors]
+    assert any(0 in p.whitney for p in posets)
+    for p in posets:
+        for q in posets:
+            assert best_full_transversal(p, q) == exhaustive_transversal(p, q)
+
+
+def test_boolean_9_pairs_levels_in_order():
+    # ten levels on each side: the oracle would walk 10! injections
+    b9 = parse_poset_spec("boolean:9")
+    transversal, value = best_full_transversal(b9, b9)
+    assert transversal.pairs == tuple((i, i) for i in range(10))
+    assert transversal.full
+    assert value == 48620
+
+
+def test_boolean_20_level_sizes():
+    # the transversal reads only the level sizes, so these stand in for boolean:20
+    b20 = SimpleNamespace(height=20, whitney=tuple(comb(20, i) for i in range(21)))
+    transversal, value = best_full_transversal(b20, b20)
+    assert value == 137846528820 == comb(40, 20)
+    assert transversal.pairs == tuple((i, i) for i in range(21))
+
+
+def test_tie_prefers_smaller_q_level():
+    # levels 1 and 2 of q tie, so level 0 of p takes q-level 1
+    p = whitney_poset([2])
+    q = whitney_poset([1, 3, 3])
+    transversal, value = best_full_transversal(p, q)
+    assert transversal.pairs == ((0, 1),)
+    assert value == 6
+
+
+def test_each_caller_solves_the_transversal_at_most_once(monkeypatch, capsys):
+    calls = []
+    solve = twopart.best_full_transversal
+
+    def counted(p, q):
+        calls.append((p.name, q.name))
+        return solve(p, q)
+
+    monkeypatch.setattr(twopart, "best_full_transversal", counted)
+    monkeypatch.setattr(cli, "best_full_transversal", counted, raising=False)
+    b2 = parse_poset_spec("boolean:2")
+    assert twopart.verify_strict_two_part(b2, b2).well_paired_size == 6
+    assert calls == []
+    assert cli.main(["twopart", "well-paired", "--p", "boolean:2", "--q", "chains:3"]) == 0
+    assert calls == [("boolean:2", "chains:3")]
+    assert '"size": 4' in capsys.readouterr().out
