@@ -1,7 +1,8 @@
 """Acceptance suite: every criterion is an exact, zero-tolerance check.
 
-Each criterion function returns a CriterionResult; run_all executes the full
-suite.  Randomness is seeded per criterion so reports are reproducible.
+Each criterion function returns a CriterionResult; ALL_CRITERIA lists them
+in suite order.  Randomness is seeded per criterion so reports are
+reproducible.
 """
 
 from __future__ import annotations
@@ -486,13 +487,3 @@ ALL_CRITERIA = [
     criterion_9,
     criterion_10,
 ]
-
-
-def run_all(printer=None) -> list[CriterionResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        result = fn()
-        results.append(result)
-        if printer is not None:
-            printer(result)
-    return results

@@ -190,11 +190,12 @@ def boundary_chain_fractions(
     at a bottom-level member of the upset.  On a regular U-poset each
     element's fraction equals its identity term.
     """
+    ids = family(poset, fam)
     down, up = poset.chains_below_above()
     total = poset.count_maximal_chains().total
-    up_mask = poset.upset_mask(fam)
+    up_mask = poset.upset_mask(ids)
     per: dict[int, Fraction] = {}
-    for x, lowers in poset.boundary_edges(fam).items():
+    for x, lowers in poset.boundary_edges(ids).items():
         per[x] = Fraction(sum(down[v] for v in lowers) * up[x], total)
     for x in poset.levels[0]:
         if (up_mask >> x) & 1:

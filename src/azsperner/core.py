@@ -23,6 +23,8 @@ from .errors import (
 Family = frozenset[int]
 
 CHAIN_ENUM_CAP = 100_000
+# Most maximum families (antichains, k-Sperner families, independent sets) listed.
+SOLUTION_CAP = 1_000_000
 
 
 def _mask_of(ids: Iterable[int]) -> int:
@@ -250,30 +252,27 @@ class RankedPoset:
 
         Ranks outside [0, height] yield the empty set.
         """
+        ids = family(self, A)
         if not 0 <= i <= self.height:
             return frozenset()
-        m = 0
-        for a in A:
-            m |= self.up_mask[a]
-        return _ids_of(m & self.level_mask[i])
+        return _ids_of(self.upset_mask(ids) & self.level_mask[i])
 
     def gamma_down_to_level(self, A: Iterable[int], i: int) -> Family:
         """All rank-i elements lying below some member of A."""
+        ids = family(self, A)
         if not 0 <= i <= self.height:
             return frozenset()
-        m = 0
-        for a in A:
-            m |= self.down_mask[a]
-        return _ids_of(m & self.level_mask[i])
+        return _ids_of(self.downset_mask(ids) & self.level_mask[i])
 
     def upset(self, A: Iterable[int]) -> Family:
         """The filter generated by A: every element above some member."""
-        return _ids_of(self.upset_mask(A))
+        return _ids_of(self.upset_mask(family(self, A)))
 
     def downset(self, A: Iterable[int]) -> Family:
         """The ideal generated by A: every element below some member."""
-        return _ids_of(self.downset_mask(A))
+        return _ids_of(self.downset_mask(family(self, A)))
 
+    # The mask forms skip validation: the AZ kernels pass ids already checked.
     def upset_mask(self, A: Iterable[int]) -> int:
         m = 0
         for a in A:
@@ -365,7 +364,7 @@ class RankedPoset:
 
         Returns {x: lower endpoints v} for edges (v, x) with x in U(A), v not.
         """
-        up = self.upset_mask(A)
+        up = self.upset_mask(family(self, A))
         grouped: dict[int, tuple[int, ...]] = {}
         for x in range(self.n):
             if not (up >> x) & 1:

@@ -2,14 +2,22 @@
 
 Capacities are integers throughout, so flow values are exact.  One Dinic
 max-flow over a level pair (``level_pair_flow``) serves both the covering
-construction and the normality check; Hopcroft-Karp and an SCC condensation
-serve the Dilworth routines.
+construction and the normality check.
+
+The Dilworth readers each solve one Hopcroft-Karp matching on the split
+graph (``_dilworth``) and read everything off it: ``minimum_chain_cover``
+returns the chain partition, ``maximum_antichain_ids`` the Koenig antichain
+with that partition, and ``enumerate_maximum_antichain_ids`` every maximum
+antichain, through an SCC condensation, with that partition.  An antichain
+with one element per chain is maximum, which is the certificate the callers
+check.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable
 
+from .core import SOLUTION_CAP
 from .errors import SizeLimitError
 
 
@@ -241,20 +249,42 @@ def _hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]) -> tuple[lis
     return pair_l, pair_r
 
 
-def _split_graph(n: int, strict_pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+def _dilworth(
+    n: int, strict_pairs: Iterable[tuple[int, int]]
+) -> tuple[list[list[int]], list[int], list[int], list[list[int]]]:
+    """One Hopcroft-Karp solve on the split graph, with the chains it matches.
+
+    The split graph joins x_L to y_R for every strict pair x < y.  Returns
+    (adj, pair_l, pair_r, chains): following pair_l up from each element with
+    no matched predecessor gives a minimum chain cover of n - |matching|
+    chains (Dilworth via matching).
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in strict_pairs:
         adj[a].append(b)
-    return adj
+    pair_l, pair_r = _hopcroft_karp(n, n, adj)
+    chains = []
+    for x in range(n):
+        if pair_r[x] == -1:
+            chain = [x]
+            while pair_l[chain[-1]] != -1:
+                chain.append(pair_l[chain[-1]])
+            chains.append(chain)
+    return adj, pair_l, pair_r, chains
 
 
-def _koenig_antichain(n: int, adj: list[list[int]], pair_l: list[int], pair_r: list[int]) -> frozenset[int]:
-    """Elements missed by the Koenig vertex cover of the split graph.
+def maximum_antichain_ids(
+    n: int, strict_pairs: Iterable[tuple[int, int]]
+) -> tuple[frozenset[int], list[list[int]]]:
+    """A maximum antichain of an n-element order given all strict pairs a < b,
+    and a minimum chain cover read off the same matching.
 
-    Alternating reachability Z from free left vertices: the cover is
-    (L minus Z) plus (R in Z); the antichain takes x with x_L in Z and
-    x_R out of Z.
+    The antichain is the set of elements missed by the Koenig vertex cover
+    of the split graph: alternating reachability Z from free left vertices
+    gives the cover (L minus Z) plus (R in Z), and the antichain takes x with
+    x_L in Z and x_R out of Z.  It has one element per chain of the cover.
     """
+    adj, pair_l, pair_r, chains = _dilworth(n, strict_pairs)
     in_z_left = [False] * n
     in_z_right = [False] * n
     stack = [u for u in range(n) if pair_l[u] == -1]
@@ -271,54 +301,30 @@ def _koenig_antichain(n: int, adj: list[list[int]], pair_l: list[int], pair_r: l
                 if w != -1 and not in_z_left[w]:
                     in_z_left[w] = True
                     stack.append(w)
-    return frozenset(x for x in range(n) if in_z_left[x] and not in_z_right[x])
-
-
-def maximum_antichain_ids(
-    n: int, strict_pairs: Iterable[tuple[int, int]]
-) -> frozenset[int]:
-    """Maximum antichain of an n-element order given all strict pairs a < b.
-
-    Dilworth via bipartite matching on the split graph: a minimum chain cover
-    has n - |matching| chains, and the elements missed by a Koenig vertex
-    cover form an antichain of exactly that size.
-    """
-    adj = _split_graph(n, strict_pairs)
-    pair_l, pair_r = _hopcroft_karp(n, n, adj)
-    return _koenig_antichain(n, adj, pair_l, pair_r)
+    antichain = frozenset(x for x in range(n) if in_z_left[x] and not in_z_right[x])
+    return antichain, chains
 
 
 def minimum_chain_cover(
     n: int, strict_pairs: Iterable[tuple[int, int]]
 ) -> list[list[int]]:
     """Partition 0..n-1 into the fewest chains (Dilworth via matching)."""
-    adj = _split_graph(n, strict_pairs)
-    pair_l, _ = _hopcroft_karp(n, n, adj)
-    has_pred = {v for v in pair_l if v != -1}
-    chains = []
-    for x in range(n):
-        if x in has_pred:
-            continue
-        chain = [x]
-        while pair_l[chain[-1]] != -1:
-            chain.append(pair_l[chain[-1]])
-        chains.append(chain)
-    return chains
+    return _dilworth(n, strict_pairs)[3]
 
 
 def enumerate_maximum_antichain_ids(
-    n: int, strict_pairs: Iterable[tuple[int, int]], cap: int = 1_000_000
-) -> list[frozenset[int]]:
-    """All maximum antichains, through the matching structure of the split graph.
+    n: int, strict_pairs: Iterable[tuple[int, int]]
+) -> tuple[list[frozenset[int]], list[list[int]]]:
+    """All maximum antichains, sorted, and a minimum chain cover, off one matching.
 
     Maximum antichains correspond to minimum vertex covers, which pick one
     endpoint per matched edge subject to implications from the non-matching
     edges.  SCC-condensing the implication digraph and walking its closed
     sets makes the enumeration output-linear, so a unique maximum costs one
-    matching, never a search.
+    matching, never a search.  More than ``SOLUTION_CAP`` maxima raise a
+    SizeLimitError.
     """
-    adj = _split_graph(n, strict_pairs)
-    pair_l, pair_r = _hopcroft_karp(n, n, adj)
+    adj, pair_l, pair_r, chains = _dilworth(n, strict_pairs)
     edges = [u for u in range(n) if pair_l[u] != -1]  # edge id = left endpoint
     edge_index = {u: i for i, u in enumerate(edges)}
     m = len(edges)
@@ -331,8 +337,8 @@ def enumerate_maximum_antichain_ids(
         for v in adj[u]:
             if pair_l[u] == v:
                 continue
-            eu = edge_index.get(u) if pair_l[u] != -1 else None
-            ev = edge_index.get(pair_r[v]) if pair_r[v] != -1 else None
+            eu = edge_index.get(u)
+            ev = edge_index.get(pair_r[v])
             if eu is None and ev is None:
                 raise RuntimeError("matching is not maximum")
             if eu is None:
@@ -344,9 +350,8 @@ def enumerate_maximum_antichain_ids(
 
     members = _topological_sccs(implies)  # edge id -> scc id, arcs go up
     n_sccs = max(members, default=-1) + 1
-    order = range(n_sccs)
-    preds: list[set[int]] = [set() for _ in order]
-    succs: list[set[int]] = [set() for _ in order]
+    preds: list[set[int]] = [set() for _ in range(n_sccs)]
+    succs: list[set[int]] = [set() for _ in range(n_sccs)]
     for a in range(m):
         for b in implies[a]:
             if members[a] != members[b]:
@@ -355,10 +360,10 @@ def enumerate_maximum_antichain_ids(
     scc_true = {members[e] for e in forced_true}
     scc_false = {members[e] for e in forced_false}
     # forward-close the trues, backward-close the falses
-    for s in order:
+    for s in range(n_sccs):
         if s in scc_true or not scc_true.isdisjoint(preds[s]):
             scc_true.add(s)
-    for s in reversed(order):
+    for s in reversed(range(n_sccs)):
         if s in scc_false or not scc_false.isdisjoint(succs[s]):
             scc_false.add(s)
     if scc_true & scc_false:
@@ -367,17 +372,15 @@ def enumerate_maximum_antichain_ids(
     assignments: list[set[int]] = []
     stack: list[tuple[int, set[int]]] = [(0, set(scc_true))]
     while stack:
-        idx, true_sccs = stack.pop()
-        while idx < len(order):
-            s = order[idx]
+        start, true_sccs = stack.pop()
+        for s in range(start, n_sccs):
             if s in true_sccs or not true_sccs.isdisjoint(preds[s]):
                 true_sccs.add(s)
             elif s not in scc_false:
-                stack.append((idx + 1, set(true_sccs)))  # branch with s False
+                stack.append((s + 1, set(true_sccs)))  # branch with s False
                 true_sccs.add(s)
-            idx += 1
         assignments.append(true_sccs)
-        if len(assignments) > cap:
+        if len(assignments) > SOLUTION_CAP:
             raise SizeLimitError("more maximum antichains than the enumeration cap")
 
     antichains = set()
@@ -393,7 +396,7 @@ def enumerate_maximum_antichain_ids(
             if right_free:
                 out.append(x)
         antichains.add(frozenset(out))
-    return sorted(antichains, key=sorted)
+    return sorted(antichains, key=sorted), chains
 
 
 def _topological_sccs(succ: list[set[int]]) -> list[int]:

@@ -13,6 +13,7 @@ vertices), where exactness matters more than scale.
 
 from __future__ import annotations
 
+from .core import SOLUTION_CAP
 from .errors import SizeLimitError
 
 
@@ -31,10 +32,9 @@ def _greedy_clique_cover_bound(cand: int, adj: list[int]) -> int:
 class MaxIndependentSet:
     """One solver instance per graph; run() finds the size, enumerate() all optima."""
 
-    def __init__(self, adj: list[int], solution_cap: int = 1_000_000):
+    def __init__(self, adj: list[int]):
         self.n = len(adj)
         self.adj = adj
-        self.solution_cap = solution_cap
 
     def run(self) -> tuple[int, int]:
         """(maximum size, one maximum independent set as a bitmask)."""
@@ -56,7 +56,7 @@ class MaxIndependentSet:
         if find_all:
             if size == target:
                 self.found.append(chosen)
-                if len(self.found) > self.solution_cap:
+                if len(self.found) > SOLUTION_CAP:
                     raise SizeLimitError("too many maximum independent sets")
                 return
             if size + _greedy_clique_cover_bound(cand, self.adj) < target:

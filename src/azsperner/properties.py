@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .core import RankedPoset
+from .core import CHAIN_ENUM_CAP, RankedPoset
 from .errors import (
     ChainLimitError,
     LevelTooLargeError,
@@ -401,7 +401,7 @@ def _chain_products(e: Sequence[dict[int, int]], chains: Sequence[Sequence[int]]
 
 
 def verify_chain_covering(
-    poset: RankedPoset, covering: ChainCovering, limit: int = 100_000
+    poset: RankedPoset, covering: ChainCovering, limit: int = CHAIN_ENUM_CAP
 ) -> CoveringReport:
     """Check the covering twice: marginal conditions on g, and full chain enumeration.
 

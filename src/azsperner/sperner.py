@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import Family, RankedPoset, family
+from .core import SOLUTION_CAP, Family, RankedPoset, family
 from .errors import (
     NotKSpernerError,
     NotStrictlyNormalError,
@@ -33,7 +33,6 @@ from .properties import check_strictly_normal
 
 EXHAUSTIVE_CAP = 24
 ORACLE_CAP = 2000
-SOLUTION_CAP = 1_000_000
 
 
 def _strict_pairs(poset: RankedPoset) -> list[tuple[int, int]]:
@@ -102,15 +101,18 @@ def lym_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:
     )
 
 
+def _certify(poset: RankedPoset, antichain: Family, chains: list[list[int]]) -> None:
+    """An antichain with one element per chain of a chain partition is maximum."""
+    if len(antichain) != len(chains) or not poset.is_antichain(antichain):
+        raise PosetError("matching dual failed to certify the antichain")
+
+
 def max_antichain(poset: RankedPoset) -> Family:
     """A maximum antichain via minimum chain cover (Dilworth by matching)."""
     if poset.n > ORACLE_CAP:
         raise SizeLimitError(f"{poset.n} elements exceed the cap {ORACLE_CAP}")
-    pairs = _strict_pairs(poset)
-    antichain = maximum_antichain_ids(poset.n, pairs)
-    cover = minimum_chain_cover(poset.n, pairs)
-    if len(antichain) != len(cover) or not poset.is_antichain(antichain):
-        raise PosetError("matching dual failed to certify the antichain")
+    antichain, chains = maximum_antichain_ids(poset.n, _strict_pairs(poset))
+    _certify(poset, antichain, chains)
     return antichain
 
 
@@ -127,12 +129,11 @@ def is_homogeneous(poset: RankedPoset, fam: Iterable[int]) -> bool:
 class _KSpernerSearch:
     """Branch and bound over elements in rank order with a chain-cover bound."""
 
-    def __init__(self, poset: RankedPoset, k: int, solution_cap: int = SOLUTION_CAP):
+    def __init__(self, poset: RankedPoset, k: int):
         if k < 1:
             raise PosetError("k must be at least 1")
         self.poset = poset
         self.k = k
-        self.solution_cap = solution_cap
         self.order = sorted(range(poset.n), key=lambda x: (poset.ranks[x], x))
         cover = minimum_chain_cover(poset.n, _strict_pairs(poset))
         self.chain_of = [0] * poset.n
@@ -168,7 +169,7 @@ class _KSpernerSearch:
 
         def record() -> None:
             self.found.append(frozenset(chosen))
-            if len(self.found) > self.solution_cap:
+            if len(self.found) > SOLUTION_CAP:
                 raise SizeLimitError("too many maximum families to enumerate")
 
         def search(idx: int, bound: int) -> None:
@@ -232,14 +233,13 @@ def enumerate_maximum_antichains(poset: RankedPoset) -> tuple[int, list[Family]]
     """All maximum antichains, walked off the split-graph matching structure.
 
     Output-linear: a poset with a unique maximum costs one matching.  The
-    size is certified against the minimum chain cover.
+    size is certified against the chain cover read off that matching.
     """
     if poset.n > ORACLE_CAP:
         raise SizeLimitError(f"{poset.n} elements exceed the cap {ORACLE_CAP}")
-    size = len(max_antichain(poset))
-    families = enumerate_maximum_antichain_ids(
-        poset.n, _strict_pairs(poset), cap=SOLUTION_CAP
-    )
+    families, chains = enumerate_maximum_antichain_ids(poset.n, _strict_pairs(poset))
+    _certify(poset, families[0], chains)
+    size = len(chains)
     if any(len(f) != size for f in families):
         raise PosetError("matching-based enumeration disagrees with the Dilworth size")
     return size, families

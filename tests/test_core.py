@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from azsperner import build_poset, from_json
+from azsperner import boundary_chain_fractions, build_poset, from_json
 from azsperner.core import family
 from azsperner.errors import (
     ChainLimitError,
@@ -211,6 +211,29 @@ class TestOrderQueries:
             family(b3, [0, bad])
         with pytest.raises(PosetError, match="not an integer"):
             b3.is_antichain([bad])
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda p, ids: p.upset(ids),
+            lambda p, ids: p.downset(ids),
+            lambda p, ids: p.gamma_up_to_level(ids, 1),
+            lambda p, ids: p.gamma_down_to_level(ids, 1),
+            lambda p, ids: p.gamma_up_to_level(ids, 99),
+            lambda p, ids: p.boundary_edges(ids),
+            lambda p, ids: boundary_chain_fractions(p, ids),
+        ],
+        ids=["upset", "downset", "gamma_up", "gamma_down", "gamma_up_off_rank",
+             "boundary_edges", "boundary_chain_fractions"],
+    )
+    @pytest.mark.parametrize("bad", [-1, -8, 8, 99, True])
+    def test_neighbourhood_queries_reject_foreign_ids(self, b3, query, bad):
+        with pytest.raises(PosetError):
+            query(b3, [bad])
+
+    def test_boundary_chain_fractions_reads_a_generator_once(self, b3):
+        grand, _ = boundary_chain_fractions(b3, iter([1]))
+        assert grand == 1
 
     def test_unknown_label_is_a_poset_error(self, fig1a):
         with pytest.raises(PosetError, match="no element labelled 'missing'"):
