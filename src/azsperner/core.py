@@ -212,40 +212,42 @@ class RankedPoset:
         return range(self.n)
 
     def label(self, x: int) -> str:
-        return self.labels[x]
+        return self.labels[element_id(self, x)]
 
     def element_by_label(self, label: str) -> int:
         if label in self._label_index:
             return self._label_index[label]
         raise UnknownLabelError(f"no element labelled {label!r} in {self.name}")
 
+    # The single-element queries validate their ids; internal callers that
+    # have validated already read up_mask, up_adj and down_adj directly.
     def rank(self, x: int) -> int:
-        return self.ranks[x]
+        return self.ranks[element_id(self, x)]
 
     def leq(self, a: int, b: int) -> bool:
-        return bool((self.up_mask[a] >> b) & 1)
+        return bool((self.up_mask[element_id(self, a)] >> element_id(self, b)) & 1)
 
     def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
+        return self.leq(a, b) and a != b
 
     def comparable(self, a: int, b: int) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
     def d_minus(self, x: int) -> int:
-        return len(self.down_adj[x])
+        return len(self.down_adj[element_id(self, x)])
 
     def d_plus(self, x: int) -> int:
-        return len(self.up_adj[x])
+        return len(self.up_adj[element_id(self, x)])
 
     # -- neighborhoods, upsets, downsets ------------------------------------
 
     def gamma_up(self, a: int) -> Family:
         """Upper covers of a (the rank r(a)+1 elements above it)."""
-        return frozenset(self.up_adj[a])
+        return frozenset(self.up_adj[element_id(self, a)])
 
     def gamma_down(self, a: int) -> Family:
         """Lower covers of a (the rank r(a)-1 elements below it)."""
-        return frozenset(self.down_adj[a])
+        return frozenset(self.down_adj[element_id(self, a)])
 
     def gamma_up_to_level(self, A: Iterable[int], i: int) -> Family:
         """All rank-i elements lying above some member of A.

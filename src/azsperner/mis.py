@@ -1,14 +1,29 @@
-"""Exact maximum independent set by branch and bound, with full enumeration.
+"""Exact maximum independent set by colour-class branch and bound, with full enumeration.
 
-Vertices are 0..n-1 with adjacency bitmasks (plain Python ints).  The bound
-is a greedy clique cover of the candidate set: an independent set takes at
-most one vertex per clique.  The cover is built bit-parallel, one clique at
-a time: the lowest candidate opens a clique, and each next member is the
-lowest candidate adjacent to every member so far, kept up to date with one
-AND per member (the colour-class construction of San Segundo et al., 2011).
-That gives the same partition as first-fit in id order, vertex by vertex.
-Intended for the desk-scale conflict graphs of product posets (tens of
-vertices), where exactness matters more than scale.
+Vertices are 0..n-1 with adjacency bitmasks (plain Python ints).  At every
+node the candidates are split into a greedy clique cover, built bit-parallel
+one clique at a time: the lowest candidate opens a clique, and each next
+member is the lowest candidate adjacent to every member so far, kept up to
+date with one AND per member (the colour-class construction of San Segundo
+et al., 2011).  That is the same partition as first-fit in id order.
+
+An independent set takes at most one vertex per clique, so the cover gives
+the bound and the branch order in one pass (MCQ/MCS: Tomita and Seki, 2003;
+Tomita et al., 2010).  The node walks the classes from the last to the
+first, and each class from its highest id to its lowest.  A vertex of class
+c can extend the chosen set by at most c more vertices, so once size + c no
+longer beats the incumbent, it and every vertex after it are pruned.
+Otherwise the node branches on the vertex with the candidates that follow it
+in the walk and are not adjacent to it, then drops it.  Each independent set
+is reached exactly once: once a vertex's branch is done, the vertex leaves
+the candidates of every later branch.
+
+``run()`` seeds its incumbent with a greedy independent set, built once at
+the root by taking a candidate of least remaining degree (lowest id on
+ties).  ``enumerate()`` returns the maxima as bitmasks in ascending order,
+so its output does not depend on the search order.  Intended for the
+desk-scale conflict graphs of product posets (tens of vertices), where
+exactness matters more than scale.
 """
 
 from __future__ import annotations
@@ -17,16 +32,42 @@ from .core import SOLUTION_CAP
 from .errors import SizeLimitError
 
 
-def _greedy_clique_cover_bound(cand: int, adj: list[int]) -> int:
-    bound = 0
+def _clique_cover(cand: int, adj: list[int]) -> list[int]:
+    """The greedy clique cover of the candidates, as class masks in order."""
+    classes = []
     while cand:
-        bound += 1
+        members = 0
         q = cand
         while q:
             low = q & -q
-            cand ^= low
+            members |= low
             q = (q ^ low) & adj[low.bit_length() - 1]
-    return bound
+        cand ^= members
+        classes.append(members)
+    return classes
+
+
+def _greedy_clique_cover_bound(cand: int, adj: list[int]) -> int:
+    return len(_clique_cover(cand, adj))
+
+
+def _greedy_independent_set(adj: list[int]) -> int:
+    """A maximal independent set: repeatedly take a least-degree candidate."""
+    chosen = 0
+    cand = (1 << len(adj)) - 1
+    while cand:
+        best_v, best_deg = -1, len(adj)
+        m = cand
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            deg = (adj[v] & cand).bit_count()
+            if deg < best_deg:
+                best_v, best_deg = v, deg
+        chosen |= 1 << best_v
+        cand &= ~(1 << best_v) & ~adj[best_v]
+    return chosen
 
 
 class MaxIndependentSet:
@@ -38,48 +79,42 @@ class MaxIndependentSet:
 
     def run(self) -> tuple[int, int]:
         """(maximum size, one maximum independent set as a bitmask)."""
-        self.best = 0
-        self.best_mask = 0
-        self._search(0, (1 << self.n) - 1, find_all=False, target=None)
-        return self.best, self.best_mask
+        self.found: list[int] | None = None
+        self.best_mask = _greedy_independent_set(self.adj)
+        # a node prunes once it cannot beat `floor`: the incumbent's size here
+        self.floor = self.best_mask.bit_count()
+        self._search(0, 0, (1 << self.n) - 1)
+        return self.floor, self.best_mask
 
     def enumerate(self, target: int | None = None) -> tuple[int, list[int]]:
-        """(maximum size, every maximum independent set as bitmasks)."""
+        """(maximum size, every maximum independent set as bitmasks, ascending)."""
         if target is None:
             target, _ = self.run()
-        self.found: list[int] = []
-        self._search(0, (1 << self.n) - 1, find_all=True, target=target)
-        return target, self.found
+        self.found = []
+        # every set of `target` vertices beats target - 1
+        self.floor = target - 1
+        self._search(0, 0, (1 << self.n) - 1)
+        return target, sorted(self.found)
 
-    def _search(self, chosen: int, cand: int, find_all: bool, target: int | None) -> None:
-        size = chosen.bit_count()
-        if find_all:
-            if size == target:
+    def _search(self, chosen: int, size: int, cand: int) -> None:
+        if size > self.floor:
+            if self.found is None:
+                self.floor = size
+                self.best_mask = chosen
+            else:
                 self.found.append(chosen)
                 if len(self.found) > SOLUTION_CAP:
                     raise SizeLimitError("too many maximum independent sets")
                 return
-            if size + _greedy_clique_cover_bound(cand, self.adj) < target:
-                return
-        else:
-            if size > self.best:
-                self.best = size
-                self.best_mask = chosen
-            if size + _greedy_clique_cover_bound(cand, self.adj) <= self.best:
-                return
-        if not cand:
-            return
-        # branch on a highest-degree candidate
-        best_v, best_deg = -1, -1
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            deg = (self.adj[v] & cand).bit_count()
-            if deg > best_deg:
-                best_v, best_deg = v, deg
-        v = best_v
-        bit = 1 << v
-        self._search(chosen | bit, cand & ~bit & ~self.adj[v], find_all, target)
-        self._search(chosen, cand & ~bit, find_all, target)
+        adj = self.adj
+        classes = _clique_cover(cand, adj)
+        for c in range(len(classes), 0, -1):
+            members = classes[c - 1]
+            while members:
+                if size + c <= self.floor:
+                    return
+                v = members.bit_length() - 1
+                bit = 1 << v
+                members ^= bit
+                cand ^= bit
+                self._search(chosen | bit, size + 1, cand & ~adj[v])

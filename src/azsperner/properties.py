@@ -85,8 +85,8 @@ def check_regular(poset: RankedPoset) -> CheckResult:
             "regular", False, witness=(ref, x), detail={"rank": i, "degree": label}
         )
     profile = {
-        "d_minus": [poset.d_minus(level[0]) for level in poset.levels],
-        "d_plus": [poset.d_plus(level[0]) for level in poset.levels],
+        "d_minus": [len(poset.down_adj[level[0]]) for level in poset.levels],
+        "d_plus": [len(poset.up_adj[level[0]]) for level in poset.levels],
     }
     return CheckResult("regular", True, detail={"profile": profile})
 

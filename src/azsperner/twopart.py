@@ -48,10 +48,11 @@ def _conflict(p: RankedPoset, q: RankedPoset, x: tuple[int, int], y: tuple[int, 
     (a, b), (c, d) = x, y
     if (a, b) == (c, d):
         return False
+    # the ids are checked by the callers: read the comparability masks directly
     if a == c:
-        return q.comparable(b, d)
+        return bool((q.up_mask[b] | q.down_mask[b]) >> d & 1)
     if b == d:
-        return p.comparable(a, c)
+        return bool((p.up_mask[a] | p.down_mask[a]) >> c & 1)
     return False
 
 

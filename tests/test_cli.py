@@ -210,6 +210,21 @@ class TestTwoPart:
         )
         assert code == 0 and lines[0]["holds"] is True
 
+    def test_max_all_lists_families_in_mask_order(self, capsys):
+        # pair (a, b) is bit 3a + b, and the families come in ascending mask order
+        code, lines = run_cli(
+            capsys, "twopart", "max", "--p", "boolean:2", "--q", "chains:3", "--all"
+        )
+        assert code == 0 and lines[0]["count"] == 6
+        assert lines[0]["families"] == [
+            [[0, 2], [1, 1], [2, 1], [3, 0]],
+            [[0, 1], [1, 2], [2, 2], [3, 0]],
+            [[0, 2], [1, 0], [2, 0], [3, 1]],
+            [[0, 0], [1, 2], [2, 2], [3, 1]],
+            [[0, 1], [1, 0], [2, 0], [3, 2]],
+            [[0, 0], [1, 1], [2, 1], [3, 2]],
+        ]
+
     def test_az_with_family_file(self, capsys, tmp_path):
         path = tmp_path / "fam.json"
         path.write_text(json.dumps([[0, 0], [0, 1]]))

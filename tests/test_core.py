@@ -231,6 +231,37 @@ class TestOrderQueries:
         with pytest.raises(PosetError):
             query(b3, [bad])
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda p, x: p.leq(x, 7),
+            lambda p, x: p.leq(0, x),
+            lambda p, x: p.lt(x, 3),
+            lambda p, x: p.lt(0, x),
+            lambda p, x: p.lt(x, x),
+            lambda p, x: p.comparable(x, 7),
+            lambda p, x: p.comparable(0, x),
+            lambda p, x: p.gamma_up(x),
+            lambda p, x: p.gamma_down(x),
+            lambda p, x: p.d_minus(x),
+            lambda p, x: p.d_plus(x),
+            lambda p, x: p.rank(x),
+            lambda p, x: p.label(x),
+        ],
+        ids=["leq_lower", "leq_upper", "lt_lower", "lt_upper", "lt_self", "comparable_first",
+             "comparable_second", "gamma_up", "gamma_down", "d_minus", "d_plus", "rank", "label"],
+    )
+    @pytest.mark.parametrize("bad", [-1, 8, 99, True])
+    def test_single_element_queries_reject_foreign_ids(self, b3, query, bad):
+        with pytest.raises(PosetError):
+            query(b3, bad)
+
+    def test_single_element_queries_on_valid_ids(self, b3):
+        assert b3.leq(0, 7) and not b3.leq(7, 0) and b3.lt(0, 7) and not b3.lt(7, 7)
+        assert b3.comparable(7, 0) and not b3.comparable(1, 2)
+        assert b3.gamma_down(7) == {3, 5, 6} and b3.gamma_up(0) == {1, 2, 4}
+        assert (b3.d_minus(7), b3.d_plus(7), b3.rank(7)) == (3, 0, 3)
+
     def test_boundary_chain_fractions_reads_a_generator_once(self, b3):
         grand, _ = boundary_chain_fractions(b3, iter([1]))
         assert grand == 1

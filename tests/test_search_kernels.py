@@ -7,9 +7,10 @@ over all families filtered by ``is_k_sperner``.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from azsperner import build_poset, enumerate_maximum_k_sperner, is_k_sperner
+from azsperner import build_poset, enumerate_maximum_k_sperner, is_k_sperner, parse_poset_spec
 from azsperner.mis import MaxIndependentSet, _greedy_clique_cover_bound
 from azsperner.twopart import _conflict, conflict_graph
 
@@ -135,3 +136,62 @@ def test_maximum_k_sperner_matches_brute_force(poset):
             key=lambda fam: [x not in fam for x in order],
         )
         assert enumerate_maximum_k_sperner(poset, k) == (size, maxima)
+
+
+@given(graphs(14))
+@settings(max_examples=80, deadline=None)
+def test_mis_enumerates_brute_force_maxima_in_ascending_order(graph):
+    adj, _ = graph
+    sets = brute_force_independent_sets(adj)
+    size = max(mask.bit_count() for mask in sets)
+    maxima = sorted(mask for mask in sets if mask.bit_count() == size)
+    assert MaxIndependentSet(adj).enumerate() == (size, maxima)
+    assert MaxIndependentSet(adj).enumerate(size) == (size, maxima)
+
+
+@given(graphs(14))
+@settings(max_examples=80, deadline=None)
+def test_mis_run_returns_an_independent_set_of_maximum_size(graph):
+    # the greedy incumbent may be returned as is, so any maximum will do
+    adj, _ = graph
+    size = max(mask.bit_count() for mask in brute_force_independent_sets(adj))
+    found_size, witness = MaxIndependentSet(adj).run()
+    assert found_size == size == witness.bit_count()
+    assert witness < 1 << len(adj)
+    for v in range(len(adj)):
+        if (witness >> v) & 1:
+            assert not adj[v] & witness
+
+
+def test_mis_on_the_empty_graph():
+    assert MaxIndependentSet([]).run() == (0, 0)
+    assert MaxIndependentSet([]).enumerate() == (0, [0])
+
+
+# (P, Q): (maximum, maxima, _search calls in run(), _search calls in enumerate(maximum)).
+# On the first three the greedy seed meets the root's cover bound, so run()
+# stops at the root; the last one makes run() branch.
+PINNED_TREES = {
+    ("boolean:2", "chains:3"): (4, 6, 1, 22),
+    ("boolean:3", "chains:4"): (8, 24, 1, 221),
+    ("chains:6", "chains:6"): (6, 720, 1, 1957),
+    ("chains:4,2", "boolean:3"): (15, 24, 856, 3351),
+}
+
+
+@pytest.mark.parametrize("specs", sorted(PINNED_TREES), ids="x".join)
+def test_mis_tree_sizes_are_pinned(monkeypatch, specs):
+    calls = []
+    search = MaxIndependentSet._search
+
+    def counted(self, *args):
+        calls.append(args)
+        return search(self, *args)
+
+    monkeypatch.setattr(MaxIndependentSet, "_search", counted)
+    _, adj = conflict_graph(*(parse_poset_spec(spec) for spec in specs))
+    size, _ = MaxIndependentSet(adj).run()
+    run_calls = len(calls)
+    calls.clear()
+    _, maxima = MaxIndependentSet(adj).enumerate(size)
+    assert (size, len(maxima), run_calls, len(calls)) == PINNED_TREES[specs]

@@ -5,6 +5,7 @@ import pytest
 
 from azsperner import (
     best_full_transversal,
+    build_poset,
     chain_pair_bound,
     gen_boolean,
     gen_chain_product,
@@ -193,6 +194,25 @@ class TestExactMaxima:
     def test_size_limit(self, b3):
         with pytest.raises(SizeLimitError):
             max_two_part_sperner_exact(b3, b3, enumerate_all=True)
+
+    @pytest.mark.parametrize("seeds", [(1, 2), (3, 4)])
+    def test_maxima_do_not_depend_on_the_labelling(self, b2, chain3, seeds):
+        def relabelled(poset, seed):
+            perm = list(range(poset.n))
+            random.Random(seed).shuffle(perm)
+            copy = build_poset(
+                [(perm[x], poset.ranks[x]) for x in range(poset.n)],
+                [(perm[lo], perm[hi]) for lo, hi in poset.covers],
+            )
+            return copy, {perm[x]: x for x in range(poset.n)}
+
+        runs = []
+        for seed in seeds:
+            (p, back_p), (q, back_q) = relabelled(b2, seed), relabelled(chain3, seed + 10)
+            size, fams = max_two_part_sperner_exact(p, q, enumerate_all=True)
+            runs.append((size, {frozenset((back_p[a], back_q[b]) for a, b in f) for f in fams}))
+        assert runs[0] == runs[1] == (4, set(max_two_part_sperner_exact(b2, chain3, True)[1]))
+        assert len(runs[0][1]) == 6
 
 
 class TestPairValidation:
