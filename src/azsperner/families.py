@@ -25,6 +25,12 @@ ELEMENT_CAP = 100_000
 TRIAL_DIVISION_CAP = 10**6
 
 
+def _refuse_exponential(what: str, n: int) -> None:
+    """Refuse 2^n or more elements past the cap before computing the exact, huge size."""
+    if n >= ELEMENT_CAP.bit_length():
+        raise SizeLimitError(f"{what} has at least 2^{n} elements (> {ELEMENT_CAP})")
+
+
 def gen_boolean(n: int) -> RankedPoset:
     """The Boolean lattice of subsets of {1..n}; rank is cardinality."""
     if not 0 <= n <= 20:
@@ -48,6 +54,7 @@ def gen_star_power(k: int, n: int) -> RankedPoset:
     """
     if k < 1 or n < 1:
         raise PosetError("star power needs k >= 1 and n >= 1")
+    _refuse_exponential("star power", n)
     size = (k + 1) ** n
     if size > ELEMENT_CAP:
         raise SizeLimitError(f"star power has {size} elements (> {ELEMENT_CAP})")
@@ -77,7 +84,7 @@ def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
         raise PosetError("chain sizes must be non-increasing")
     total = math.prod(sizes)
     if total > ELEMENT_CAP:
-        raise SizeLimitError(f"chain product has {total} elements (> {ELEMENT_CAP})")
+        raise SizeLimitError(f"chain product has more than {ELEMENT_CAP} elements")
     tuples = list(iproduct(*(range(s) for s in sizes)))
     index = {t: i for i, t in enumerate(tuples)}
     elements = [(i, sum(t)) for i, t in enumerate(tuples)]
@@ -181,6 +188,7 @@ def gen_subspace_lattice(n: int, q: int) -> RankedPoset:
     """All subspaces of GF(q)^n ordered by inclusion; rank is dimension."""
     if not is_prime_power(q):
         raise NotPrimePowerError(f"q={q} is not a prime power <= 9")
+    _refuse_exponential("subspace lattice", n)
     count = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
     if count > ELEMENT_CAP:
         raise SizeLimitError(f"subspace lattice has {count} elements (> {ELEMENT_CAP})")
@@ -212,6 +220,7 @@ def gen_affine_poset(n: int, q: int) -> RankedPoset:
     """
     if not is_prime_power(q):
         raise NotPrimePowerError(f"q={q} is not a prime power <= 9")
+    _refuse_exponential("affine poset", n)
     gf = field(q)
     count = sum(gaussian_binomial(n, k, q) * q ** (n - k) for k in range(n + 1))
     if count > ELEMENT_CAP:

@@ -7,6 +7,7 @@ fixed irreducible polynomial over the base prime.  Elements are encoded as
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import NotPrimePowerError
@@ -113,11 +114,14 @@ def is_prime_power(q: int) -> bool:
     return q in _PRIMES or q in _IRREDUCIBLE
 
 
-@lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of GF(q)^n, via the q-analogue recurrence."""
+    """Number of k-dimensional subspaces of GF(q)^n: the product of
+    (q^(n-i) - 1) / (q^(i+1) - 1) over i < k, exact at every step."""
     if k < 0 or k > n:
         return 0
-    if k == 0 or k == n:
-        return 1
-    return gaussian_binomial(n - 1, k - 1, q) + q**k * gaussian_binomial(n - 1, k, q)
+    if q == 1:
+        return math.comb(n, k)
+    out = 1
+    for i in range(min(k, n - k)):
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out

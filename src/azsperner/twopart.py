@@ -4,8 +4,9 @@ A product family lives on P x Q as a set of (p, q) id pairs.  The 2-part
 Sperner condition forbids two distinct componentwise-comparable members that
 share a coordinate; equivalently every row and column slice is an antichain.
 Maximum families are found exactly as maximum independent sets of the
-conflict graph, and the identities are evaluated per Q-level through the
-1-part machinery.
+conflict graph; the strict verdict tests their vertex masks against one mask
+per level product P_i x Q_j and decodes only a witness into pairs.  The
+identities are evaluated per Q-level through the 1-part machinery.
 """
 
 from __future__ import annotations
@@ -282,6 +283,23 @@ def conflict_graph(p: RankedPoset, q: RankedPoset) -> tuple[list[tuple[int, int]
     return vertices, adj
 
 
+def _maximum_masks(p: RankedPoset, q: RankedPoset, enumerate_all: bool) -> tuple[int, list[int]]:
+    """Conflict-graph maxima as vertex masks: one, or all in ascending order."""
+    size_cap = ENUMERATE_CAP if enumerate_all else MIS_CAP
+    if p.n * q.n > size_cap:
+        raise SizeLimitError(f"product has {p.n * q.n} elements (cap {size_cap})")
+    solver = MaxIndependentSet(conflict_graph(p, q)[1])
+    if enumerate_all:
+        return solver.enumerate()
+    size, mask = solver.run()
+    return size, [mask]
+
+
+def _mask_family(mask: int, m: int) -> PairFamily:
+    """Pairs (a, b) of the vertices a*m + b, via a set: it iterates as one built pair by pair."""
+    return frozenset({divmod(v, m) for v in range(mask.bit_length()) if mask >> v & 1})
+
+
 def max_two_part_sperner_exact(
     p: RankedPoset, q: RankedPoset, enumerate_all: bool = False
 ) -> tuple[int, list[PairFamily]]:
@@ -289,40 +307,24 @@ def max_two_part_sperner_exact(
 
     Returns (size, one witness) or (size, all maximum families).
     """
-    size_cap = ENUMERATE_CAP if enumerate_all else MIS_CAP
-    if p.n * q.n > size_cap:
-        raise SizeLimitError(
-            f"product has {p.n * q.n} elements (cap {size_cap})"
-        )
-    vertices, adj = conflict_graph(p, q)
-    solver = MaxIndependentSet(adj)
-    if enumerate_all:
-        size, masks = solver.enumerate()
-    else:
-        size, mask = solver.run()
-        masks = [mask]
-    families = []
-    for mask in masks:
-        fam = set()
-        while mask:
-            low = mask & -mask
-            fam.add(vertices[low.bit_length() - 1])
-            mask ^= low
-        families.append(frozenset(fam))
-    return size, families
+    size, masks = _maximum_masks(p, q, enumerate_all)
+    return size, [_mask_family(mask, q.n) for mask in masks]
+
+
+def _level_blocks(p: RankedPoset, q: RankedPoset) -> list[int]:
+    """Vertex masks of the level products P_i x Q_j of two or more vertices:
+    P_i spread to bits |Q| apart, times a Q level mask, has no carries."""
+    spreads = [sum(1 << a * q.n for a in level) for level in p.levels]
+    return [b for s in spreads for q_mask in q.level_mask if (b := s * q_mask) & (b - 1)]
 
 
 def is_homogeneous_product(
     p: RankedPoset, q: RankedPoset, fam: Iterable[tuple[int, int]]
 ) -> bool:
     """True iff the family is a union of complete level products P_i x Q_j."""
-    return _homogeneous_product(p, q, _validate_pairs(p, q, fam))
-
-
-def _homogeneous_product(p: RankedPoset, q: RankedPoset, fam: PairFamily) -> bool:
-    seen: set[tuple[int, int]] = {(p.ranks[a], q.ranks[b]) for a, b in fam}
-    expected = sum(p.whitney[i] * q.whitney[j] for i, j in seen)
-    return expected == len(fam)
+    fam = _validate_pairs(p, q, fam)
+    seen = {(p.ranks[a], q.ranks[b]) for a, b in fam}
+    return sum(p.whitney[i] * q.whitney[j] for i, j in seen) == len(fam)
 
 
 @dataclass(frozen=True)
@@ -347,18 +349,18 @@ class StrictTwoPartResult:
 def verify_strict_two_part(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResult:
     """Enumerate all maximum 2-part Sperner families of a strictly normal product.
 
-    Each maximum must be a homogeneous (hence well-paired) system; any
-    non-homogeneous maximum is returned as a falsifying witness.
+    Each maximum must be homogeneous (hence well-paired): its vertex mask meets
+    each level-product block in nothing or in all of it.  The first other
+    maximum, in ascending mask order, is decoded as the falsifying witness.
     """
     for poset in (p, q):
         if not check_strictly_normal(poset).holds:
             raise NotStrictlyNormalError(f"{poset.name} is not strictly normal")
-    size, families = max_two_part_sperner_exact(p, q, enumerate_all=True)
-    well_paired = well_paired_value(p, q)
-    for fam in families:
-        if not _homogeneous_product(p, q, fam):  # fam holds valid pairs already
-            return StrictTwoPartResult(False, size, well_paired, len(families), fam)
-    return StrictTwoPartResult(True, size, well_paired, len(families), None)
+    size, masks = _maximum_masks(p, q, enumerate_all=True)
+    blocks = _level_blocks(p, q)
+    bad = next((mask for mask in masks if any(mask & b not in (0, b) for b in blocks)), None)
+    witness = None if bad is None else _mask_family(bad, q.n)
+    return StrictTwoPartResult(bad is None, size, well_paired_value(p, q), len(masks), witness)
 
 
 # -- chain pairs ----------------------------------------------------------

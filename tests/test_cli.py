@@ -366,3 +366,41 @@ def test_runs_without_scipy_or_numpy(argv):
         assert report["size"] == 48620
     else:
         assert report["criterion"] == 8 and report["passed"] is True
+
+
+# every generator head past its cap, a deep q-binomial under trunc(), and
+# sizes past the 4,300 digits that str() converts
+OVER_CAP_SPECS = [
+    "boolean:21",
+    "chains:1000,1000",
+    "star:9,9",
+    "subspace:2000,2",
+    "affine:3103,3",
+    "divisor:100000000000031",
+    "trunc(subspace:1200,2,0,1)",
+    "star:2,10000",
+    "chains:" + ",".join(["100000"] * 1000),
+]
+
+
+@pytest.mark.parametrize("spec", OVER_CAP_SPECS, ids=lambda spec: spec[:30])
+def test_specs_past_the_caps_exit_2_before_building(spec):
+    src = str(Path(azsperner.__file__).resolve().parents[1])
+    code = (
+        "import sys, azsperner.families as families\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise SystemExit('the poset was built')\n"
+        "families.build_poset = refuse\n"
+        "from azsperner.cli import main\n"
+        f"sys.exit(main(['gen', '--poset', {spec!r}]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 2, done.stderr
+    (report,) = [json.loads(line) for line in done.stdout.splitlines()]
+    assert report["cmd"] == "gen" and report["verdict"] == "error"

@@ -1,5 +1,6 @@
 import math
 import time
+from functools import cache
 from itertools import product as iproduct
 
 import networkx as nx
@@ -29,6 +30,17 @@ from azsperner.errors import (
 )
 from azsperner.families import whitney_oracle
 from azsperner.gf import field, gaussian_binomial
+
+
+@cache
+def gaussian_binomial_recurrence(n, k, q):
+    """The q-Pascal rule [n, k] = [n-1, k-1] + q^k [n-1, k], one call per n."""
+    if k < 0 or k > n:
+        return 0
+    if k == 0 or k == n:
+        return 1
+    rec = gaussian_binomial_recurrence
+    return rec(n - 1, k - 1, q) + q**k * rec(n - 1, k, q)
 
 
 def ranked_hasse(poset):
@@ -302,6 +314,14 @@ class TestSpecParser:
         with pytest.raises(PosetError, match="needs two factor specs"):
             parse_poset_spec("prod(boolean:2)")
 
+    @pytest.mark.parametrize(
+        "spec", ["subspace:2000,2", "affine:3103,3", "trunc(subspace:1200,2,0,1)", "star:2,10000"]
+    )
+    def test_exponential_sizes_hit_the_cap(self, spec):
+        # n past a recursive q-binomial's depth and its size past str()'s digit limit
+        with pytest.raises(SizeLimitError, match="at least 2\\^"):
+            parse_poset_spec(spec)
+
 
 class TestFields:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -328,3 +348,9 @@ class TestFields:
         for n in range(6):
             for k in range(n + 1):
                 assert gaussian_binomial(n, k, 1) == math.comb(n, k)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_gaussian_binomial_matches_the_recurrence(self, q):
+        for n in range(13):
+            for k in range(-1, n + 2):
+                assert gaussian_binomial(n, k, q) == gaussian_binomial_recurrence(n, k, q)

@@ -6,12 +6,14 @@ over all families filtered by ``is_k_sperner``.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from azsperner import build_poset, enumerate_maximum_k_sperner, is_k_sperner, parse_poset_spec
 from azsperner.mis import MaxIndependentSet, _greedy_clique_cover_bound
+from azsperner.sperner import _KSpernerSearch
 from azsperner.twopart import _conflict, conflict_graph
 
 
@@ -195,3 +197,45 @@ def test_mis_tree_sizes_are_pinned(monkeypatch, specs):
     calls.clear()
     _, maxima = MaxIndependentSet(adj).enumerate(size)
     assert (size, len(maxima), run_calls, len(calls)) == PINNED_TREES[specs]
+
+
+# (spec, k): (maximum, maxima, search calls in run(), in run(target=maximum)).
+# run() starts from the sum of the k largest levels, which every poset here
+# reaches, so it stops at the root; the enumeration's count pins the bound.
+PINNED_K_SPERNER_TREES = {
+    ("boolean:4", 1): (6, 1, 1, 336),
+    ("boolean:4", 2): (10, 2, 1, 1210),
+    ("boolean:4", 3): (14, 1, 1, 149),
+    ("chains:4,4", 2): (7, 2, 1, 1108),
+}
+
+
+def counted_k_sperner_run(engine, **kwargs):
+    """engine.run(**kwargs) and the calls it made to its nested ``search``."""
+    search_code = next(
+        const
+        for const in _KSpernerSearch.run.__code__.co_consts
+        if getattr(const, "co_name", None) == "search"
+    )
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is search_code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = engine.run(**kwargs)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+@pytest.mark.parametrize("spec,k", sorted(PINNED_K_SPERNER_TREES))
+def test_k_sperner_tree_sizes_are_pinned(spec, k):
+    engine = _KSpernerSearch(parse_poset_spec(spec), k)
+    (size, _), run_calls = counted_k_sperner_run(engine)
+    (_, maxima), enumerate_calls = counted_k_sperner_run(engine, target=size)
+    assert (size, len(maxima), run_calls, enumerate_calls) == PINNED_K_SPERNER_TREES[spec, k]

@@ -1,7 +1,11 @@
+import importlib
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from azsperner import (
     best_full_transversal,
@@ -13,6 +17,7 @@ from azsperner import (
     gen_fig1b,
     is_two_part_sperner,
     max_two_part_sperner_exact,
+    parse_poset_spec,
     product_covering_report,
     two_part_az_sum,
     two_part_lym,
@@ -28,7 +33,16 @@ from azsperner.errors import (
     PosetError,
     SizeLimitError,
 )
-from azsperner.twopart import is_homogeneous_product, is_two_part_sperner_slices
+from azsperner.twopart import (
+    StrictTwoPartResult,
+    _level_blocks,
+    is_homogeneous_product,
+    is_two_part_sperner_slices,
+    well_paired_value,
+)
+from test_search_kernels import graded_posets
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +59,17 @@ def transversal_family(p, q, pairs):
     return frozenset(
         (a, b) for i, j in pairs for a in p.levels[i] for b in q.levels[j]
     )
+
+
+def relabelled(poset, seed):
+    """An isomorphic copy with seeded shuffled ids, and the map back to the old ids."""
+    perm = list(range(poset.n))
+    random.Random(seed).shuffle(perm)
+    copy = build_poset(
+        [(perm[x], poset.ranks[x]) for x in range(poset.n)],
+        [(perm[lo], perm[hi]) for lo, hi in poset.covers],
+    )
+    return copy, {perm[x]: x for x in range(poset.n)}
 
 
 class TestRecognition:
@@ -197,15 +222,6 @@ class TestExactMaxima:
 
     @pytest.mark.parametrize("seeds", [(1, 2), (3, 4)])
     def test_maxima_do_not_depend_on_the_labelling(self, b2, chain3, seeds):
-        def relabelled(poset, seed):
-            perm = list(range(poset.n))
-            random.Random(seed).shuffle(perm)
-            copy = build_poset(
-                [(perm[x], poset.ranks[x]) for x in range(poset.n)],
-                [(perm[lo], perm[hi]) for lo, hi in poset.covers],
-            )
-            return copy, {perm[x]: x for x in range(poset.n)}
-
         runs = []
         for seed in seeds:
             (p, back_p), (q, back_q) = relabelled(b2, seed), relabelled(chain3, seed + 10)
@@ -248,6 +264,71 @@ class TestStrictTwoPart:
     def test_rejects_non_strict_factor(self, b1):
         with pytest.raises(NotStrictlyNormalError):
             verify_strict_two_part(gen_fig1b(), b1)
+
+
+def reference_strict_two_part(p, q):
+    """The decode-everything composition: every maximum as pairs, each tested
+    with ``is_homogeneous_product``, the first failure as the witness."""
+    size, families = max_two_part_sperner_exact(p, q, enumerate_all=True)
+    well_paired = well_paired_value(p, q)
+    for fam in families:
+        if not is_homogeneous_product(p, q, fam):
+            return StrictTwoPartResult(False, size, well_paired, len(families), fam)
+    return StrictTwoPartResult(True, size, well_paired, len(families), None)
+
+
+@pytest.fixture(scope="module")
+def strict_products():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads").SEARCH_STRICT_PRODUCTS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+class TestStrictTwoPartOnMasks:
+    """The block-mask verdict against the decode-everything reference."""
+
+    def test_benchmark_products_and_relabellings(self, strict_products):
+        assert len(strict_products) == 11
+        failing = set()
+        for specs in strict_products:
+            p, q = (parse_poset_spec(spec) for spec in specs)
+            result = verify_strict_two_part(p, q)
+            assert result == reference_strict_two_part(p, q), specs
+            if not result.holds:
+                failing.add(specs)
+                assert result.witness is not None
+                assert not is_homogeneous_product(p, q, result.witness)
+            for seed in (5, 6):
+                (rp, _), (rq, _) = relabelled(p, seed), relabelled(q, seed + 10)
+                assert verify_strict_two_part(rp, rq) == reference_strict_two_part(rp, rq)
+        assert failing == {("star:2,2", "chains:4"), ("boolean:2", "chains:4")}
+
+    @given(graded_posets(6), graded_posets(5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_block_test_agrees_with_is_homogeneous_product(self, p, q, data):
+        m = q.n
+        blocks = _level_blocks(p, q)
+
+        def block_test(mask):
+            return all(mask & block in (0, block) for block in blocks)
+
+        def pairs(mask):
+            return {divmod(v, m) for v in range(p.n * m) if mask >> v & 1}
+
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << p.n * m) - 1))
+        assert block_test(mask) == is_homogeneous_product(p, q, pairs(mask))
+        rank_pairs = data.draw(
+            st.sets(st.tuples(st.integers(0, p.height), st.integers(0, q.height)))
+        )
+        union = sum(
+            1 << a * m + b for i, j in rank_pairs for a in p.levels[i] for b in q.levels[j]
+        )
+        assert block_test(union) and is_homogeneous_product(p, q, pairs(union))
+        # one vertex off a union: homogeneous only if its block is that vertex
+        near = union ^ 1 << data.draw(st.integers(min_value=0, max_value=p.n * m - 1))
+        assert block_test(near) == is_homogeneous_product(p, q, pairs(near))
 
 
 class TestChainPairs:
