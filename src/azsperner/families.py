@@ -25,8 +25,11 @@ ELEMENT_CAP = 100_000
 TRIAL_DIVISION_CAP = 10**6
 
 
-def _refuse_exponential(what: str, n: int) -> None:
-    """Refuse 2^n or more elements past the cap before computing the exact, huge size."""
+def _check_dimension(what: str, n: int) -> None:
+    """Refuse a negative dimension, and 2^n or more elements past the cap
+    before computing the exact, huge size."""
+    if n < 0:
+        raise PosetError(f"{what} needs n >= 0, got {n}")
     if n >= ELEMENT_CAP.bit_length():
         raise SizeLimitError(f"{what} has at least 2^{n} elements (> {ELEMENT_CAP})")
 
@@ -54,7 +57,7 @@ def gen_star_power(k: int, n: int) -> RankedPoset:
     """
     if k < 1 or n < 1:
         raise PosetError("star power needs k >= 1 and n >= 1")
-    _refuse_exponential("star power", n)
+    _check_dimension("star power", n)
     size = (k + 1) ** n
     if size > ELEMENT_CAP:
         raise SizeLimitError(f"star power has {size} elements (> {ELEMENT_CAP})")
@@ -188,7 +191,7 @@ def gen_subspace_lattice(n: int, q: int) -> RankedPoset:
     """All subspaces of GF(q)^n ordered by inclusion; rank is dimension."""
     if not is_prime_power(q):
         raise NotPrimePowerError(f"q={q} is not a prime power <= 9")
-    _refuse_exponential("subspace lattice", n)
+    _check_dimension("subspace lattice", n)
     count = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
     if count > ELEMENT_CAP:
         raise SizeLimitError(f"subspace lattice has {count} elements (> {ELEMENT_CAP})")
@@ -220,7 +223,7 @@ def gen_affine_poset(n: int, q: int) -> RankedPoset:
     """
     if not is_prime_power(q):
         raise NotPrimePowerError(f"q={q} is not a prime power <= 9")
-    _refuse_exponential("affine poset", n)
+    _check_dimension("affine poset", n)
     gf = field(q)
     count = sum(gaussian_binomial(n, k, q) * q ** (n - k) for k in range(n + 1))
     if count > ELEMENT_CAP:

@@ -47,10 +47,6 @@ def _clique_cover(cand: int, adj: list[int]) -> list[int]:
     return classes
 
 
-def _greedy_clique_cover_bound(cand: int, adj: list[int]) -> int:
-    return len(_clique_cover(cand, adj))
-
-
 def _greedy_independent_set(adj: list[int]) -> int:
     """A maximal independent set: repeatedly take a least-degree candidate."""
     chosen = 0

@@ -1,6 +1,10 @@
 """Antichain and k-Sperner machinery: recognition, dual-Dilworth
 decomposition, LYM sums, exact maximum oracles, and strict-Sperner checks.
 
+The strict verdict on a strictly normal poset is read off the LYM
+certificate (`_lym_certificate`); the searches below decide every other input
+and are the certificate's oracle in the tests.
+
 The exhaustive searches are branch-and-bound over elements in rank order; the
 admissible bound comes from a fixed minimum chain cover (any k-Sperner family
 meets a chain of length c in at most min(c, k) elements).  The search keeps k
@@ -13,12 +17,14 @@ the recursion: each step changes one chain's term, by at most one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .core import SOLUTION_CAP, Family, RankedPoset, family
 from .errors import (
+    LevelTooLargeError,
     NotKSpernerError,
     NotStrictlyNormalError,
     PosetError,
@@ -252,6 +258,8 @@ class StrictSpernerResult:
     max_size: int
     maxima_count: int
     witness: Family | None
+    # "certificate" or "search": which path decided; not part of the verdict
+    method: str = field(default="search", compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -260,15 +268,46 @@ class StrictSpernerResult:
             "max_size": self.max_size,
             "maxima_count": self.maxima_count,
             "witness": sorted(self.witness) if self.witness is not None else None,
+            "method": self.method,
         }
+
+
+def _lym_certificate(poset: RankedPoset, k: int) -> StrictSpernerResult | None:
+    """The verdict on a strictly normal poset with at least k levels, or None.
+
+    A k-Sperner family splits into at most k antichains (its depth layers),
+    each of LYM sum at most 1.  With at least k levels a maximum reaches LYM
+    sum k, so each layer has sum 1 and, by strict normality, is a full level:
+    the maxima are exactly the unions of k levels of largest total size.
+    """
+    if not poset.is_graded or k > len(poset.whitney):
+        return None
+    try:
+        if not check_strictly_normal(poset).holds:
+            return None
+    except LevelTooLargeError:
+        return None
+    top = sum(sorted(poset.whitney, reverse=True)[:k])
+    count = sum(1 for sizes in combinations(poset.whitney, k) if sum(sizes) == top)
+    return StrictSpernerResult(True, k, top, count, None, method="certificate")
 
 
 def check_strict_k_sperner(poset: RankedPoset, k: int) -> StrictSpernerResult:
     """Are all maximum k-Sperner families unions of complete levels?
 
-    Up to 24 elements any k is handled exhaustively; for k = 1 the maximum
-    antichains of posets up to 2000 elements are enumerated instead.
+    A graded poset with at least k levels that passes `check_strictly_normal`
+    is decided by the LYM certificate, with no search: the verdict holds, the
+    maximum is the sum of the k largest levels, and the maxima are the k-sets
+    of levels reaching it.  Every other input (not graded, fewer than k levels,
+    not strictly normal, or a level too large for the strict-normality scan)
+    is searched: up to 24 elements any k is handled exhaustively; for k = 1
+    the maximum antichains of posets up to 2000 elements are enumerated.
     """
+    if k < 1:
+        raise PosetError("k must be at least 1")
+    certified = _lym_certificate(poset, k)
+    if certified is not None:
+        return certified
     if poset.n <= EXHAUSTIVE_CAP:
         size, families = enumerate_maximum_k_sperner(poset, k)
     elif k == 1 and poset.n <= ORACLE_CAP:

@@ -3,17 +3,25 @@
 A product family lives on P x Q as a set of (p, q) id pairs.  The 2-part
 Sperner condition forbids two distinct componentwise-comparable members that
 share a coordinate; equivalently every row and column slice is an antichain.
-Maximum families are found exactly as maximum independent sets of the
-conflict graph; the strict verdict tests their vertex masks against one mask
-per level product P_i x Q_j and decodes only a witness into pairs.  The
-identities are evaluated per Q-level through the 1-part machinery.
+On normal factors the maxima are read off the LYM certificate: every slice
+is an antichain, so the block densities x_ij = f_ij / (N_i M_j) form a doubly
+substochastic matrix, and by Birkhoff-von Neumann and the rearrangement
+inequality no family beats the well-paired value, which the well-paired
+family reaches.  Where the certificate is silent, maximum families are found
+exactly as maximum independent sets of the conflict graph; the strict verdict
+then tests their vertex masks against one mask per level product P_i x Q_j
+and decodes only a witness into pairs.  The identities are evaluated per
+Q-level through the 1-part machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from itertools import groupby, product
+from math import factorial, perm
+from typing import Iterable, Sequence
 
 from .az import az_identity_sum
 from .core import RankedPoset, element_id
@@ -25,8 +33,9 @@ from .errors import (
     PosetError,
     SizeLimitError,
 )
+from .families import ELEMENT_CAP
 from .mis import MaxIndependentSet
-from .properties import ChainCovering, build_chain_covering, check_strictly_normal
+from .properties import ChainCovering, build_chain_covering, check_normal, check_strictly_normal
 
 PairFamily = frozenset[tuple[int, int]]
 
@@ -303,10 +312,22 @@ def _mask_family(mask: int, m: int) -> PairFamily:
 def max_two_part_sperner_exact(
     p: RankedPoset, q: RankedPoset, enumerate_all: bool = False
 ) -> tuple[int, list[PairFamily]]:
-    """Exact maximum 2-part Sperner families via the conflict-graph MIS.
+    """Exact maximum 2-part Sperner families.
 
-    Returns (size, one witness) or (size, all maximum families).
+    Returns (size, one witness) or (size, all maximum families).  One witness
+    of graded factors that both pass `check_normal` is the well-paired family:
+    by LYM on each slice, no 2-part Sperner family is larger (see the module
+    docstring), and the product is never built; a family of more than 100,000
+    pairs is refused.  Every other input, and every
+    call with `enumerate_all`, is solved as a maximum independent set of the
+    conflict graph (at most 64 vertices, 36 to enumerate), the maxima listed in
+    ascending mask order.
     """
+    if not enumerate_all and all(f.is_graded and check_normal(f).holds for f in (p, q)):
+        size = well_paired_value(p, q)
+        if size > ELEMENT_CAP:
+            raise SizeLimitError(f"the well-paired family has {size} pairs (cap {ELEMENT_CAP})")
+        return size, [well_paired_family(p, q)[0]]
     size, masks = _maximum_masks(p, q, enumerate_all)
     return size, [_mask_family(mask, q.n) for mask in masks]
 
@@ -334,6 +355,8 @@ class StrictTwoPartResult:
     well_paired_size: int
     maxima_count: int
     witness: PairFamily | None
+    # "certificate" or "search": which path decided; not part of the verdict
+    method: str = field(default="search", compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -343,19 +366,81 @@ class StrictTwoPartResult:
             "well_paired_size": self.well_paired_size,
             "maxima_count": self.maxima_count,
             "witness": sorted(self.witness) if self.witness is not None else None,
+            "method": self.method,
         }
 
 
-def verify_strict_two_part(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResult:
-    """Enumerate all maximum 2-part Sperner families of a strictly normal product.
+def _optimal_transversal_count(a: Sequence[int], b: Sequence[int]) -> int:
+    """The number of full transversals reaching the sorted pairing of two
+    vectors of positive level sizes.
 
-    Each maximum must be homogeneous (hence well-paired): its vertex mask meets
-    each level-product block in nothing or in all of it.  The first other
-    maximum, in ascending mask order, is decoded as the falsifying witness.
+    The side with fewer levels is matched in full, to the other side's largest
+    sizes.  A transversal is optimal iff each group of equal sizes on the
+    short side meets the multiset of sizes that the sorted pairing gives it:
+    the orders of that multiset within each group, times the ways to pick
+    the long side's levels of each size.
+    """
+    short, long = sorted((sorted(a, reverse=True), sorted(b, reverse=True)), key=len)
+    top = long[: len(short)]
+    count = 1
+    for size, used in Counter(top).items():
+        count *= perm(long.count(size), used)
+    for _, group in groupby(zip(short, top), key=lambda pair: pair[0]):
+        sizes = Counter(size for _, size in group)
+        ways = factorial(sizes.total())
+        for repeats in sizes.values():
+            ways //= factorial(repeats)
+        count *= ways
+    return count
+
+
+def _lym_certificate(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResult | None:
+    """The strict verdict of two strictly normal factors, or None where the
+    LYM argument is silent.
+
+    A maximum's block densities lie in the optimal face of the doubly
+    substochastic matrices, the hull of the optimal transversals: they vanish
+    on every block (i, j) that no optimal transversal uses, and every row in
+    I* (the P-levels whose removal lowers the optimum) sums to 1, as does
+    every column in J*.  Then each slice over a tight level has LYM sum 1 and,
+    by strict normality, is a full level.  So a used block is whole or empty
+    if (i in I* or M_j = 1) and (j in J* or N_i = 1).  If every used block
+    passes, every maximum is homogeneous, and the maxima are exactly the
+    optimal transversals.
+    """
+    a, b = p.whitney, q.whitney
+    t = min(len(a), len(b))
+    best = well_paired_value(p, q)
+    rows = {i for i in range(len(a)) if _sorted_pairing(a[:i] + a[i + 1 :], b, t) < best}
+    cols = {j for j in range(len(b)) if _sorted_pairing(a, b[:j] + b[j + 1 :], t) < best}
+    for i, j in product(range(len(a)), range(len(b))):
+        if (i in rows or b[j] == 1) and (j in cols or a[i] == 1):
+            continue
+        rest = _sorted_pairing(a[:i] + a[i + 1 :], b[:j] + b[j + 1 :], t - 1)
+        if a[i] * b[j] + rest == best:
+            return None
+    count = _optimal_transversal_count(a, b)
+    return StrictTwoPartResult(True, best, best, count, None, method="certificate")
+
+
+def verify_strict_two_part(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResult:
+    """Are all maximum 2-part Sperner families of a strictly normal product
+    homogeneous (hence well-paired)?
+
+    Both factors must pass `check_strictly_normal`.  The LYM certificate
+    (`_lym_certificate`) decides from the level sizes alone, with no product
+    built, unless some level block that an optimal transversal uses fails its
+    block test.  Then every maximum is enumerated (products of at most 36
+    elements): each must meet each level-product block in nothing or in all
+    of it, and the first other maximum, in ascending mask order, is decoded
+    as the falsifying witness.
     """
     for poset in (p, q):
         if not check_strictly_normal(poset).holds:
             raise NotStrictlyNormalError(f"{poset.name} is not strictly normal")
+    certified = _lym_certificate(p, q)
+    if certified is not None:
+        return certified
     size, masks = _maximum_masks(p, q, enumerate_all=True)
     blocks = _level_blocks(p, q)
     bad = next((mask for mask in masks if any(mask & b not in (0, b) for b in blocks)), None)

@@ -368,8 +368,8 @@ def test_runs_without_scipy_or_numpy(argv):
         assert report["criterion"] == 8 and report["passed"] is True
 
 
-# every generator head past its cap, a deep q-binomial under trunc(), and
-# sizes past the 4,300 digits that str() converts
+# every generator head past its cap, a deep q-binomial under trunc(), sizes
+# past the 4,300 digits that str() converts, and negative dimensions
 OVER_CAP_SPECS = [
     "boolean:21",
     "chains:1000,1000",
@@ -380,6 +380,8 @@ OVER_CAP_SPECS = [
     "trunc(subspace:1200,2,0,1)",
     "star:2,10000",
     "chains:" + ",".join(["100000"] * 1000),
+    "affine:-1,2",
+    "subspace:-1,2",
 ]
 
 
@@ -404,3 +406,27 @@ def test_specs_past_the_caps_exit_2_before_building(spec):
     assert done.returncode == 2, done.stderr
     (report,) = [json.loads(line) for line in done.stdout.splitlines()]
     assert report["cmd"] == "gen" and report["verdict"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["twopart", "verify-strict", "--p", "boolean:8", "--q", "boolean:8"], (12870, 16)),
+        (["sperner", "strict", "--poset", "boolean:12", "--k", "3"], (2508, 1)),
+    ],
+)
+def test_certificate_answers_where_the_search_cannot(argv, fields):
+    # a 65,536-vertex conflict graph and a 4,096-element 3-Sperner search: the
+    # generous wall bound catches a fall-back to the search
+    src = str(Path(azsperner.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "azsperner", *argv],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    (report,) = [json.loads(line) for line in done.stdout.splitlines()]
+    assert report["holds"] is True and report["method"] == "certificate"
+    assert (report["max_size"], report["maxima_count"]) == fields

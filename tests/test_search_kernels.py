@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from azsperner import build_poset, enumerate_maximum_k_sperner, is_k_sperner, parse_poset_spec
-from azsperner.mis import MaxIndependentSet, _greedy_clique_cover_bound
+from azsperner.mis import MaxIndependentSet, _clique_cover
 from azsperner.sperner import _KSpernerSearch
 from azsperner.twopart import _conflict, conflict_graph
 
@@ -93,7 +93,7 @@ def brute_force_independent_sets(adj):
 @settings(max_examples=200, deadline=None)
 def test_clique_cover_bound_matches_sequential_first_fit(graph):
     adj, cand = graph
-    assert _greedy_clique_cover_bound(cand, adj) == sequential_first_fit_cover(cand, adj)
+    assert len(_clique_cover(cand, adj)) == sequential_first_fit_cover(cand, adj)
 
 
 @given(graphs(14))

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from azsperner import (
     check_strict_k_sperner,
     check_strict_lym,
+    check_strictly_normal,
     dual_dilworth_decompose,
     enumerate_maximum_antichains,
     enumerate_maximum_k_sperner,
@@ -14,14 +16,22 @@ from azsperner import (
     is_k_sperner,
     lym_sum,
     max_antichain,
+    parse_poset_spec,
 )
 from azsperner.errors import (
+    LevelTooLargeError,
     NotKSpernerError,
     NotStrictlyNormalError,
     PosetError,
     SizeLimitError,
 )
-from azsperner.sperner import is_homogeneous, max_k_sperner_size
+from azsperner.sperner import (
+    StrictSpernerResult,
+    _KSpernerSearch,
+    is_homogeneous,
+    max_k_sperner_size,
+)
+from test_search_kernels import graded_posets
 
 
 def level_set(poset, i):
@@ -181,7 +191,7 @@ class TestStrictSperner:
         assert res.holds and res.max_size == b2.n
 
     def test_oracle_mode_b5(self):
-        poset = gen_boolean(5)  # 32 elements, k = 1 via matching route
+        poset = gen_boolean(5)  # 32 elements, k = 1 (decided by the certificate)
         res = check_strict_k_sperner(poset, 1)
         # the two middle levels tie for maximum and both are homogeneous
         assert res.holds and res.max_size == 10 and res.maxima_count == 2
@@ -200,8 +210,24 @@ class TestStrictSperner:
         assert check_strict_k_sperner(c322, 2).holds
 
     def test_size_limit(self):
+        # 28 elements and not strictly normal: no certificate, and above the search cap
+        poset = gen_chain_product([7, 4])
+        assert not check_strictly_normal(poset).holds
         with pytest.raises(SizeLimitError):
-            check_strict_k_sperner(gen_boolean(5), 2)
+            check_strict_k_sperner(poset, 2)
+        # k = 1 above 24 elements takes the matching route
+        res = check_strict_k_sperner(poset, 1)
+        assert (res.holds, res.max_size, res.maxima_count, res.method) == (False, 4, 35, "search")
+        # boolean:5 (32 elements) is strictly normal: the certificate answers k = 2,
+        # as the branch and bound does without its cap (levels 2 and 3 only)
+        b5 = gen_boolean(5)
+        res = check_strict_k_sperner(b5, 2)
+        assert (res.holds, res.max_size, res.maxima_count, res.method) == (
+            True, 20, 1, "certificate"
+        )
+        engine = _KSpernerSearch(b5, 2)
+        size, _ = engine.run()
+        assert (size, len(engine.run(target=size)[1])) == (20, 1)
 
     @pytest.mark.parametrize("k", [0, -1])
     @pytest.mark.parametrize(
@@ -210,6 +236,60 @@ class TestStrictSperner:
     def test_rejects_k_below_one(self, b3, search, k):
         with pytest.raises(PosetError, match="k must be at least 1"):
             search(b3, k)
+
+
+def reference_strict_k_sperner(poset, k):
+    """The search composition: every maximum by branch and bound, each tested
+    with ``is_homogeneous``, the first failure as the witness."""
+    size, families = enumerate_maximum_k_sperner(poset, k)
+    for fam in families:
+        if not is_homogeneous(poset, fam):
+            return StrictSpernerResult(False, k, size, len(families), fam)
+    return StrictSpernerResult(True, k, size, len(families), None)
+
+
+class TestStrictSpernerCertificate:
+    """The LYM certificate against the search, on strictly normal posets."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "boolean:1", "boolean:3", "boolean:4", "subspace:2,2", "subspace:3,2",
+            "star:2,2", "star:3,2", "chains:3,3", "chains:3,3,2", "chains:4,4",
+            "chains:2,2,2,2", "chains:3,2,2,2", "divisor:30", "affine:2,2",
+        ],
+    )
+    def test_equals_the_search_for_every_k(self, spec):
+        poset = parse_poset_spec(spec)
+        for k in range(1, len(poset.whitney) + 1):
+            result = check_strict_k_sperner(poset, k)
+            reference = reference_strict_k_sperner(poset, k)
+            assert result == reference, k
+            assert result.to_json() == {**reference.to_json(), "method": "certificate"}
+
+    @given(graded_posets(14))
+    @settings(max_examples=150, deadline=None)
+    def test_random_graded_posets(self, poset):
+        strict = check_strictly_normal(poset).holds
+        for k in range(1, len(poset.whitney) + 1):
+            result = check_strict_k_sperner(poset, k)
+            assert result.method == ("certificate" if strict else "search")
+            assert result == reference_strict_k_sperner(poset, k)
+
+    def test_method_names_the_path(self, b3, fig1a):
+        assert check_strict_k_sperner(b3, 2).method == "certificate"
+        # k above the number of levels, and a poset that is not strictly normal
+        assert check_strict_k_sperner(b3, 5).method == "search"
+        res = check_strict_k_sperner(fig1a, 1)
+        assert res.method == "search" and res.to_json()["method"] == "search"
+
+    def test_falls_back_when_the_strictness_scan_refuses(self):
+        # a 25-element level is past the subset scan: the search decides k = 1
+        poset = gen_chain_product([6, 6, 6])
+        with pytest.raises(LevelTooLargeError):
+            check_strictly_normal(poset)
+        res = check_strict_k_sperner(poset, 1)
+        assert res.method == "search" and res.max_size == max(poset.whitney)
 
 
 class TestHomogeneous:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import azsperner.cli as cli
 import azsperner.twopart as twopart
 from azsperner import best_full_transversal, build_poset, parse_poset_spec
-from azsperner.twopart import Transversal, well_paired_value
+from azsperner.twopart import Transversal, _optimal_transversal_count, well_paired_value
 
 
 def exhaustive_transversal(p, q) -> tuple[Transversal, int]:
@@ -79,6 +79,19 @@ def test_greedy_matches_exhaustive_oracle(relation, data):
     assert transversal == expected
     assert value == expected_value == well_paired_value(p, q)
     assert transversal.full
+
+
+@pytest.mark.parametrize("relation", ["<", "=", ">"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_optimal_transversal_count_matches_the_permutation_loop(relation, data):
+    p, q = data.draw(whitney_pairs(relation))
+    short, long = sorted((p.whitney, q.whitney), key=len)
+    values = [
+        sum(x * long[j] for x, j in zip(short, injection))
+        for injection in permutations(range(len(long)), len(short))
+    ]
+    assert _optimal_transversal_count(p.whitney, q.whitney) == values.count(max(values))
 
 
 SPECS = [

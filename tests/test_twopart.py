@@ -2,6 +2,7 @@ import importlib
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from azsperner import (
     best_full_transversal,
     build_poset,
     chain_pair_bound,
+    check_normal,
     gen_boolean,
     gen_chain_product,
     gen_fig1a,
@@ -33,9 +35,14 @@ from azsperner.errors import (
     PosetError,
     SizeLimitError,
 )
+import azsperner.twopart as twopart
+from azsperner.mis import MaxIndependentSet
 from azsperner.twopart import (
+    ENUMERATE_CAP,
+    MIS_CAP,
     StrictTwoPartResult,
     _level_blocks,
+    conflict_graph,
     is_homogeneous_product,
     is_two_part_sperner_slices,
     well_paired_value,
@@ -329,6 +336,117 @@ class TestStrictTwoPartOnMasks:
         # one vertex off a union: homogeneous only if its block is that vertex
         near = union ^ 1 << data.draw(st.integers(min_value=0, max_value=p.n * m - 1))
         assert block_test(near) == is_homogeneous_product(p, q, pairs(near))
+
+
+# strictly normal factors whose products of at most 36 elements the
+# enumeration can decide
+STRICT_FACTORS = [
+    "boolean:1", "boolean:2", "boolean:3", "chains:3", "chains:4", "chains:5", "chains:6",
+    "chains:3,3", "chains:2,2,2", "star:2,2", "subspace:2,2",
+]
+
+
+class TestStrictTwoPartCertificate:
+    """The LYM certificate against the enumeration, and the paths it takes."""
+
+    def test_every_small_product_and_relabelling(self):
+        factors = [parse_poset_spec(spec) for spec in STRICT_FACTORS]
+        silent, failing, products = set(), set(), 0
+        for p, q in product(factors, factors):
+            if p.n * q.n > ENUMERATE_CAP:
+                continue
+            products += 1
+            result = verify_strict_two_part(p, q)
+            assert result == reference_strict_two_part(p, q), (p.name, q.name)
+            if result.method == "search":
+                silent.add((p.name, q.name))
+            if not result.holds:
+                failing.add((p.name, q.name))
+            for seed in (5, 6):
+                (rp, _), (rq, _) = relabelled(p, seed), relabelled(q, seed + 10)
+                copy = verify_strict_two_part(rp, rq)
+                assert copy == reference_strict_two_part(rp, rq), (p.name, q.name, seed)
+                assert copy.method == result.method
+        assert products == 81
+        # the certificate was silent only where the verdict fails
+        assert silent == failing and len(failing) == 14
+
+    def test_method_names_the_path(self, b2, chain3):
+        certified = verify_strict_two_part(b2, chain3)
+        assert certified.method == "certificate" and certified.to_json()["method"] == "certificate"
+        searched = verify_strict_two_part(b2, gen_chain_product([4]))
+        assert searched.method == "search" and searched.to_json()["method"] == "search"
+        assert not searched.holds
+
+    def test_certificate_builds_no_conflict_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the conflict graph was built")
+
+        monkeypatch.setattr(twopart, "conflict_graph", refuse)
+        b8 = gen_boolean(8)
+        result = verify_strict_two_part(b8, b8)
+        assert (result.holds, result.max_size, result.maxima_count) == (True, 12870, 16)
+        assert max_two_part_sperner_exact(b8, b8)[0] == 12870
+
+
+def mis_size(p, q):
+    return MaxIndependentSet(conflict_graph(p, q)[1]).run()[0]
+
+
+class TestExactMaximaCertificate:
+    """The well-paired family on normal factors against the MIS."""
+
+    NORMAL_FACTORS = [
+        "boolean:1", "boolean:2", "boolean:3", "chains:3", "chains:5", "chains:3,2",
+        "chains:4,2", "star:2,2", "subspace:2,2", "fig1a", "fig1b", "divisor:12",
+    ]
+
+    def test_normal_products_reach_the_mis(self):
+        factors = [parse_poset_spec(spec) for spec in self.NORMAL_FACTORS]
+        assert all(check_normal(f).holds for f in factors)
+        for p, q in product(factors, factors):
+            if p.n * q.n > MIS_CAP:
+                continue
+            size, (fam,) = max_two_part_sperner_exact(p, q)
+            assert size == len(fam) == mis_size(p, q) == well_paired_value(p, q)
+            assert is_two_part_sperner(p, q, fam)[0]
+            assert fam == well_paired_family(p, q)[0]
+
+    @given(graded_posets(6), graded_posets(5))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graded_products(self, p, q):
+        size, (fam,) = max_two_part_sperner_exact(p, q)
+        assert size == len(fam) == mis_size(p, q)
+        assert is_two_part_sperner(p, q, fam)[0]
+
+    def test_refuses_a_family_past_the_element_cap(self):
+        # 184,756 pairs: the certificate knows the size but will not list them
+        b10 = gen_boolean(10)
+        assert well_paired_value(b10, b10) == 184756
+        with pytest.raises(SizeLimitError, match="184756 pairs"):
+            max_two_part_sperner_exact(b10, b10)
+
+    def test_non_normal_factor_is_searched(self, monkeypatch, non_normal_5, b1):
+        calls = []
+        solve = twopart._maximum_masks
+
+        def counted(p, q, enumerate_all):
+            calls.append((p.name, q.name))
+            return solve(p, q, enumerate_all)
+
+        monkeypatch.setattr(twopart, "_maximum_masks", counted)
+        size, (fam,) = max_two_part_sperner_exact(non_normal_5, b1)
+        assert calls == [("non-normal-5", "boolean:1")]
+        assert size == len(fam) == mis_size(non_normal_5, b1)
+        assert is_two_part_sperner(non_normal_5, b1, fam)[0]
+        max_two_part_sperner_exact(b1, b1)
+        assert len(calls) == 1
+        # not graded (a maximal element below the top rank): searched as well
+        ragged = build_poset([(0, 0), (1, 0), (2, 1)], [(0, 2)], name="ragged")
+        assert not ragged.is_graded
+        size, (fam,) = max_two_part_sperner_exact(ragged, b1)
+        assert calls[1:] == [("ragged", "boolean:1")]
+        assert size == len(fam) == mis_size(ragged, b1)
 
 
 class TestChainPairs:
