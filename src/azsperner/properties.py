@@ -203,6 +203,11 @@ def check_level_connected(poset: RankedPoset) -> CheckResult:
     return CheckResult("level-connected", True)
 
 
+def strictly_normal_fast_path(poset: RankedPoset) -> bool:
+    """Regular and level-connected graded posets are strictly normal outright."""
+    return check_regular(poset).holds and check_level_connected(poset).holds
+
+
 def check_strictly_normal(poset: RankedPoset) -> CheckResult:
     """Strict normalized matching for every nonempty proper level subset.
 
@@ -211,7 +216,7 @@ def check_strictly_normal(poset: RankedPoset) -> CheckResult:
     tight subset is returned on failure.
     """
     _require_graded(poset)
-    if check_regular(poset).holds and check_level_connected(poset).holds:
+    if strictly_normal_fast_path(poset):
         return CheckResult("strictly-normal", True, detail={"method": "fast-path"})
     for i in range(1, poset.height + 1):
         witness = _normal_level_enumerate(poset, i, strict=True)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .core import SOLUTION_CAP, Family, RankedPoset, family
 from .errors import (
-    LevelTooLargeError,
     NotKSpernerError,
     NotStrictlyNormalError,
     PosetError,
@@ -35,10 +34,12 @@ from .flows import (
     maximum_antichain_ids,
     minimum_chain_cover,
 )
-from .properties import check_strictly_normal
+from .properties import ENUM_LEVEL_CAP, check_strictly_normal, strictly_normal_fast_path
 
 EXHAUSTIVE_CAP = 24
 ORACLE_CAP = 2000
+# subsets the strict-normality scan may visit when the search can decide
+SCAN_BUDGET = 1 << 16
 
 
 def _strict_pairs(poset: RankedPoset) -> list[tuple[int, int]]:
@@ -272,6 +273,11 @@ class StrictSpernerResult:
         }
 
 
+def _searchable(poset: RankedPoset, k: int) -> bool:
+    """Within the search caps: any k up to 24 elements, k = 1 up to 2000."""
+    return poset.n <= EXHAUSTIVE_CAP or (k == 1 and poset.n <= ORACLE_CAP)
+
+
 def _lym_certificate(poset: RankedPoset, k: int) -> StrictSpernerResult | None:
     """The verdict on a strictly normal poset with at least k levels, or None.
 
@@ -282,14 +288,24 @@ def _lym_certificate(poset: RankedPoset, k: int) -> StrictSpernerResult | None:
     """
     if not poset.is_graded or k > len(poset.whitney):
         return None
-    try:
+    if not strictly_normal_fast_path(poset):
+        # the subset scan visits 2^|level| subsets of each level above the
+        # bottom and refuses a level over its cap; a scan it would refuse, or a
+        # large one where the search can decide, is left to the search
+        scanned = poset.whitney[1:]
+        if max(scanned, default=0) > ENUM_LEVEL_CAP or (
+            _searchable(poset, k) and sum(1 << w for w in scanned) > SCAN_BUDGET
+        ):
+            return None
         if not check_strictly_normal(poset).holds:
             return None
-    except LevelTooLargeError:
-        return None
-    top = sum(sorted(poset.whitney, reverse=True)[:k])
-    count = sum(1 for sizes in combinations(poset.whitney, k) if sum(sizes) == top)
-    return StrictSpernerResult(True, k, top, count, None, method="certificate")
+    # the k-sets of levels of largest total: all g levels above the k-th
+    # largest size v, and any k - g of the levels of size v
+    sizes = sorted(poset.whitney, reverse=True)
+    v = sizes[k - 1]
+    above = sum(1 for w in sizes if w > v)
+    count = comb(poset.whitney.count(v), k - above)
+    return StrictSpernerResult(True, k, sum(sizes[:k]), count, None, method="certificate")
 
 
 def check_strict_k_sperner(poset: RankedPoset, k: int) -> StrictSpernerResult:
@@ -299,23 +315,26 @@ def check_strict_k_sperner(poset: RankedPoset, k: int) -> StrictSpernerResult:
     is decided by the LYM certificate, with no search: the verdict holds, the
     maximum is the sum of the k largest levels, and the maxima are the k-sets
     of levels reaching it.  Every other input (not graded, fewer than k levels,
-    not strictly normal, or a level too large for the strict-normality scan)
-    is searched: up to 24 elements any k is handled exhaustively; for k = 1
-    the maximum antichains of posets up to 2000 elements are enumerated.
+    or not strictly normal) is searched: up to 24 elements any k is handled
+    exhaustively; for k = 1 the maximum antichains of posets up to 2000
+    elements are enumerated.  The search also decides a poset that is not
+    regular and level-connected when strict normality would need a subset
+    scan of a level above 22 elements, or, within the search caps, of more
+    than 2^16 subsets in all.
     """
     if k < 1:
         raise PosetError("k must be at least 1")
     certified = _lym_certificate(poset, k)
     if certified is not None:
         return certified
-    if poset.n <= EXHAUSTIVE_CAP:
-        size, families = enumerate_maximum_k_sperner(poset, k)
-    elif k == 1 and poset.n <= ORACLE_CAP:
-        size, families = enumerate_maximum_antichains(poset)
-    else:
+    if not _searchable(poset, k):
         raise SizeLimitError(
             f"{poset.name}: {poset.n} elements with k={k} exceeds the search caps"
         )
+    if poset.n <= EXHAUSTIVE_CAP:
+        size, families = enumerate_maximum_k_sperner(poset, k)
+    else:
+        size, families = enumerate_maximum_antichains(poset)
     for fam in families:
         if not is_homogeneous(poset, fam):
             return StrictSpernerResult(False, k, size, len(families), fam)

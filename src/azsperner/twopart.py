@@ -317,17 +317,19 @@ def max_two_part_sperner_exact(
     Returns (size, one witness) or (size, all maximum families).  One witness
     of graded factors that both pass `check_normal` is the well-paired family:
     by LYM on each slice, no 2-part Sperner family is larger (see the module
-    docstring), and the product is never built; a family of more than 100,000
-    pairs is refused.  Every other input, and every
+    docstring), and the product is never built.  Every other input, and every
     call with `enumerate_all`, is solved as a maximum independent set of the
     conflict graph (at most 64 vertices, 36 to enumerate), the maxima listed in
-    ascending mask order.
+    ascending mask order.  Without `enumerate_all`, a well-paired value above
+    100,000 is refused before either path runs: neither could answer it.
     """
-    if not enumerate_all and all(f.is_graded and check_normal(f).holds for f in (p, q)):
+    if not enumerate_all:
+        # refused before the flow checks: the search refuses any such product too
         size = well_paired_value(p, q)
         if size > ELEMENT_CAP:
             raise SizeLimitError(f"the well-paired family has {size} pairs (cap {ELEMENT_CAP})")
-        return size, [well_paired_family(p, q)[0]]
+        if all(f.is_graded and check_normal(f).holds for f in (p, q)):
+            return size, [well_paired_family(p, q)[0]]
     size, masks = _maximum_masks(p, q, enumerate_all)
     return size, [_mask_family(mask, q.n) for mask in masks]
 

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from azsperner.errors import (
     PosetError,
     SizeLimitError,
 )
+import azsperner.properties as properties
 from azsperner.sperner import (
     StrictSpernerResult,
     _KSpernerSearch,
@@ -283,13 +286,56 @@ class TestStrictSpernerCertificate:
         res = check_strict_k_sperner(fig1a, 1)
         assert res.method == "search" and res.to_json()["method"] == "search"
 
-    def test_falls_back_when_the_strictness_scan_refuses(self):
+    def test_falls_back_when_the_strictness_scan_refuses(self, monkeypatch):
         # a 25-element level is past the subset scan: the search decides k = 1
+        # without scanning the smaller levels first
         poset = gen_chain_product([6, 6, 6])
         with pytest.raises(LevelTooLargeError):
             check_strictly_normal(poset)
+        scanned = []
+        scan = properties._normal_level_enumerate
+
+        def counted(poset, i, strict):
+            scanned.append(i)
+            return scan(poset, i, strict)
+
+        monkeypatch.setattr(properties, "_normal_level_enumerate", counted)
         res = check_strict_k_sperner(poset, 1)
         assert res.method == "search" and res.max_size == max(poset.whitney)
+        # k = 2 is past the search caps as well: refused, as before, unscanned
+        with pytest.raises(SizeLimitError, match="search caps"):
+            check_strict_k_sperner(poset, 2)
+        assert scanned == []
+
+    def test_large_scan_left_to_the_search_within_its_caps(self, monkeypatch):
+        # chains:5,5,5 is strictly normal, but not regular: the scan would visit
+        # over a million subsets, so k = 1 (216 elements) goes to the matching
+        # search; k = 2 is past the search caps, so the scan runs and certifies
+        poset = gen_chain_product([5, 5, 5])
+        scanned = []
+        scan = properties._normal_level_enumerate
+
+        def counted(poset, i, strict):
+            scanned.append(i)
+            return scan(poset, i, strict)
+
+        monkeypatch.setattr(properties, "_normal_level_enumerate", counted)
+        res = check_strict_k_sperner(poset, 1)
+        assert res.method == "search" and scanned == []
+        assert (res.holds, res.max_size, res.maxima_count) == (True, 19, 1)
+        res = check_strict_k_sperner(poset, 2)
+        assert res.method == "certificate" and scanned
+        assert (res.holds, res.max_size, res.maxima_count) == (True, 37, 2)
+
+    def test_counts_maxima_in_closed_form(self):
+        # a 1000-element chain: every level has one element, so the maxima for
+        # k = 500 are the C(1000, 500) sets of 500 levels, counted without listing
+        poset = parse_poset_spec("chains:1000")
+        start = time.perf_counter()
+        res = check_strict_k_sperner(poset, 500)
+        assert time.perf_counter() - start < 5.0
+        assert res == StrictSpernerResult(True, 500, 500, math.comb(1000, 500), None)
+        assert res.method == "certificate"
 
 
 class TestHomogeneous:

@@ -419,10 +419,16 @@ class TestExactMaximaCertificate:
         assert size == len(fam) == mis_size(p, q)
         assert is_two_part_sperner(p, q, fam)[0]
 
-    def test_refuses_a_family_past_the_element_cap(self):
-        # 184,756 pairs: the certificate knows the size but will not list them
+    def test_refuses_a_family_past_the_element_cap(self, monkeypatch):
+        # 184,756 pairs: the certificate knows the size but will not list them,
+        # and the refusal comes before any factor's normality flow check
         b10 = gen_boolean(10)
         assert well_paired_value(b10, b10) == 184756
+
+        def no_flow(poset):
+            raise AssertionError(f"check_normal ran on {poset.name}")
+
+        monkeypatch.setattr(twopart, "check_normal", no_flow)
         with pytest.raises(SizeLimitError, match="184756 pairs"):
             max_two_part_sperner_exact(b10, b10)
 
