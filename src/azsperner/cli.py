@@ -135,7 +135,20 @@ def parse_pair_family(text: str | None) -> frozenset[tuple[int, int]]:
 
 
 def emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report) + "\n")
+    # exact counts such as 2000! run past the interpreter's default limit of
+    # 4,300 digits for int-to-str, so it is lifted while a report is encoded;
+    # Python before 3.10.7 has no limit and no setter
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        text = json.dumps(report)
+    else:
+        saved = limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = json.dumps(report)
+        finally:
+            sys.set_int_max_str_digits(saved)
+    sys.stdout.write(text + "\n")
     sys.stdout.flush()
 
 

@@ -7,11 +7,13 @@ On normal factors the maxima are read off the LYM certificate: every slice
 is an antichain, so the block densities x_ij = f_ij / (N_i M_j) form a doubly
 substochastic matrix, and by Birkhoff-von Neumann and the rearrangement
 inequality no family beats the well-paired value, which the well-paired
-family reaches.  Where the certificate is silent, maximum families are found
-exactly as maximum independent sets of the conflict graph; the strict verdict
-then tests their vertex masks against one mask per level product P_i x Q_j
-and decodes only a witness into pairs.  The identities are evaluated per
-Q-level through the 1-part machinery.
+family reaches.  The best full transversal, the number of optimal ones and
+the strict certificate are all read off one sorted pairing of the level
+sizes (`_size_groups`).  Where the certificate is silent, maximum families
+are found exactly as maximum independent sets of the conflict graph; the
+strict verdict then tests their vertex masks against one mask per level
+product P_i x Q_j and decodes only a witness into pairs.  The identities are
+evaluated per Q-level through the 1-part machinery.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, product
-from math import factorial, perm
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .az import az_identity_sum
@@ -76,21 +77,6 @@ def is_two_part_sperner(
             if _conflict(p, q, x, y):
                 return False, (x, y)
     return True, None
-
-
-def is_two_part_sperner_slices(
-    p: RankedPoset, q: RankedPoset, fam: Iterable[tuple[int, int]]
-) -> bool:
-    """Equivalent slice characterization: every row and column slice is an antichain."""
-    fam = _validate_pairs(p, q, fam)
-    rows: dict[int, set[int]] = {}
-    cols: dict[int, set[int]] = {}
-    for a, b in fam:
-        rows.setdefault(b, set()).add(a)
-        cols.setdefault(a, set()).add(b)
-    return all(p.is_antichain(r) for r in rows.values()) and all(
-        q.is_antichain(c) for c in cols.values()
-    )
 
 
 def slices_by_q(q_poset: RankedPoset, fam: PairFamily) -> dict[int, frozenset[int]]:
@@ -204,17 +190,27 @@ class Transversal:
         return {"pairs": [list(ij) for ij in self.pairs], "full": self.full}
 
 
-def _sorted_pairing(xs: Iterable[int], ys: Iterable[int], count: int) -> int:
-    """The largest sum of `count` products x*y of non-negative values picked
-    without reuse: the sorted pairing."""
-    xs = sorted(xs, reverse=True)[:count]
-    ys = sorted(ys, reverse=True)[:count]
-    return sum(a * b for a, b in zip(xs, ys))
+def _size_groups(a: Sequence[int], b: Sequence[int]) -> Counter[tuple[int, int]]:
+    """The sorted pairing of two level-size vectors, as a multiset of size pairs.
+
+    The side with fewer levels is matched in full.  Padded with levels of
+    size 0 to the other side's length, both sides are sorted by size,
+    largest first, and paired position by position; the pair (x, w) says a
+    level of `a` of size x meets a level of `b` of size w.  By the
+    rearrangement inequality a full transversal reaches the optimum iff each
+    group of the short side's levels of one size s > 0 meets, as a multiset,
+    the long sizes that these pairs owe it; levels of size 0 take any long
+    level left over, and the long levels paired with padding are those left
+    over.
+    """
+    n = max(len(a), len(b))
+    a_desc, b_desc = (sorted([*v, *[0] * (n - len(v))], reverse=True) for v in (a, b))
+    return Counter(zip(a_desc, b_desc))
 
 
 def well_paired_value(p: RankedPoset, q: RankedPoset) -> int:
-    """Pair the t largest levels of each factor in sorted order (t = min rank + 1)."""
-    return _sorted_pairing(p.whitney, q.whitney, min(p.height, q.height) + 1)
+    """The sum N_i M_j over the sorted pairing of the level sizes."""
+    return sum(x * w * n for (x, w), n in _size_groups(p.whitney, q.whitney).items())
 
 
 def best_full_transversal(p: RankedPoset, q: RankedPoset) -> tuple[Transversal, int]:
@@ -222,35 +218,28 @@ def best_full_transversal(p: RankedPoset, q: RankedPoset) -> tuple[Transversal, 
 
     The cost N_i M_j is rank-one with non-negative entries, so by the
     rearrangement inequality the optimum is the sorted pairing
-    (`well_paired_value`).  The pairs are fixed smallest first: a candidate
-    (i, j) is kept only if the sorted pairing of the levels still free (the
-    P-levels above i, the unused Q-levels) completes the optimum.  This gives
-    the lexicographically smallest optimum at every size.
+    (`well_paired_value`), and a transversal is optimal iff its level pairs
+    meet the size pairs of `_size_groups`.  The P-levels are walked in
+    order, and each takes the first free Q-level of a size it is still owed;
+    a long P-level left over takes the padding past the last Q-level, which
+    pairs with nothing.  Every such choice still completes to an optimum, so
+    the pairs are the lexicographically smallest optimum.
     """
     a, b = p.whitney, q.whitney
-    t = min(len(a), len(b))
-    expected = need = well_paired_value(p, q)
+    owed = _size_groups(a, b)
+    # free Q-levels by size, the smallest index last; from len(b) on, the padding
+    free: dict[int, list[int]] = {}
+    for j in reversed(range(max(len(a), len(b)))):
+        free.setdefault(b[j] if j < len(b) else 0, []).append(j)
     pairs: list[tuple[int, int]] = []
-    free_q = list(range(len(b)))
-    for left in range(t - 1, -1, -1):
-        # the first free Q-level of each size: equal sizes leave the same sizes free
-        firsts = sorted({b[j]: j for j in reversed(free_q)}.values())
-        i, j = next(
-            (
-                (i, j)
-                for i in range(pairs[-1][0] + 1 if pairs else 0, len(a))
-                for j in firsts
-                if a[i] * b[j] + _sorted_pairing(a[i + 1 :], [b[y] for y in free_q if y != j], left)
-                == need
-            ),
-            (None, None),
-        )
-        if i is None:
-            raise PosetError(f"no full transversal reaches the sorted pairing {expected}")
-        pairs.append((i, j))
-        free_q.remove(j)
-        need -= a[i] * b[j]
-    return Transversal(pairs=tuple(pairs), full=len(pairs) == t), expected
+    for i, x in enumerate(a):
+        j, w = min((js[-1], w) for w, js in free.items() if js and owed[x, w])
+        free[w].pop()
+        owed[x, w] -= 1
+        if j < len(b):
+            pairs.append((i, j))
+    value = sum(a[i] * b[j] for i, j in pairs)
+    return Transversal(pairs=tuple(pairs), full=len(pairs) == min(len(a), len(b))), value
 
 
 def well_paired_family(p: RankedPoset, q: RankedPoset) -> tuple[PairFamily, Transversal]:
@@ -376,24 +365,15 @@ def _optimal_transversal_count(a: Sequence[int], b: Sequence[int]) -> int:
     """The number of full transversals reaching the sorted pairing of two
     vectors of positive level sizes.
 
-    The side with fewer levels is matched in full, to the other side's largest
-    sizes.  A transversal is optimal iff each group of equal sizes on the
-    short side meets the multiset of sizes that the sorted pairing gives it:
-    the orders of that multiset within each group, times the ways to pick
-    the long side's levels of each size.
+    Completed by matching the long side's leftover levels to the padding,
+    an optimal transversal is a bijection with the size pairs of
+    `_size_groups`.  Such bijections number the product of r! over each
+    size class of r levels on either side, over the product of d! over each
+    pair met d times; the padding's r! counts only its own orders, so it is
+    left out.
     """
-    short, long = sorted((sorted(a, reverse=True), sorted(b, reverse=True)), key=len)
-    top = long[: len(short)]
-    count = 1
-    for size, used in Counter(top).items():
-        count *= perm(long.count(size), used)
-    for _, group in groupby(zip(short, top), key=lambda pair: pair[0]):
-        sizes = Counter(size for _, size in group)
-        ways = factorial(sizes.total())
-        for repeats in sizes.values():
-            ways //= factorial(repeats)
-        count *= ways
-    return count
+    classes = [*Counter(a).values(), *Counter(b).values()]
+    return prod(map(factorial, classes)) // prod(map(factorial, _size_groups(a, b).values()))
 
 
 def _lym_certificate(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResult | None:
@@ -409,18 +389,18 @@ def _lym_certificate(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResult | No
     if (i in I* or M_j = 1) and (j in J* or N_i = 1).  If every used block
     passes, every maximum is homogeneous, and the maxima are exactly the
     optimal transversals.
+
+    All of it is read off `_size_groups`.  A block is used iff its sizes
+    form one of the pairs.  With positive sizes every level of the short
+    side is tight, and a long level is tight unless a level of its size is
+    left over (paired with padding).  So a used block fails exactly when its
+    short size exceeds 1 and its long size is also left over.
     """
     a, b = p.whitney, q.whitney
-    t = min(len(a), len(b))
+    groups = _size_groups(a, b)
+    if any((x > 1 and groups[0, w]) or (w > 1 and groups[x, 0]) for x, w in groups):
+        return None
     best = well_paired_value(p, q)
-    rows = {i for i in range(len(a)) if _sorted_pairing(a[:i] + a[i + 1 :], b, t) < best}
-    cols = {j for j in range(len(b)) if _sorted_pairing(a, b[:j] + b[j + 1 :], t) < best}
-    for i, j in product(range(len(a)), range(len(b))):
-        if (i in rows or b[j] == 1) and (j in cols or a[i] == 1):
-            continue
-        rest = _sorted_pairing(a[:i] + a[i + 1 :], b[:j] + b[j + 1 :], t - 1)
-        if a[i] * b[j] + rest == best:
-            return None
     count = _optimal_transversal_count(a, b)
     return StrictTwoPartResult(True, best, best, count, None, method="certificate")
 

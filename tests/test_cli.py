@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -430,3 +431,34 @@ def test_certificate_answers_where_the_search_cannot(argv, fields):
     (report,) = [json.loads(line) for line in done.stdout.splitlines()]
     assert report["holds"] is True and report["method"] == "certificate"
     assert (report["max_size"], report["maxima_count"]) == fields
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["twopart", "verify-strict", "--p", "chains:2000", "--q", "chains:2000"], math.factorial(2000)),
+        (["sperner", "strict", "--poset", "chains:15000", "--k", "7500"], math.comb(15000, 7500)),
+    ],
+    ids=["2000!", "C(15000,7500)"],
+)
+def test_prints_counts_past_the_int_to_str_digit_limit(argv, count):
+    # 5,736 and 4,513 digits: past the 4,300 that int-to-str converts by default
+    src = str(Path(azsperner.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "azsperner", *argv],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        (report,) = [json.loads(line) for line in done.stdout.splitlines()]
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+    assert report["holds"] is True and report["method"] == "certificate"
+    assert report["maxima_count"] == count

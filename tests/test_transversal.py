@@ -1,11 +1,16 @@
-"""The best full transversal against an exhaustive oracle.
+"""The best full transversal, its count and the 2-part certificate against
+exhaustive oracles.
 
-`best_full_transversal` fixes the sorted pairs greedily, checking each
-candidate against the sorted pairing of the levels still free.  The oracle
-below walks every injection of the smaller factor's levels and keeps the
-lexicographically smallest optimum.
+`best_full_transversal` walks the P-levels in order, each taking the first
+free Q-level of a size the sorted pairing still owes it.  The oracles below
+walk every injection of the smaller factor's levels: one keeps the
+lexicographically smallest optimum, another the blocks that optima use and
+the levels whose removal lowers the optimum.
 """
 
+import math
+import random
+import time
 from itertools import permutations, product
 from math import comb
 from types import SimpleNamespace
@@ -15,8 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 import azsperner.cli as cli
 import azsperner.twopart as twopart
-from azsperner import best_full_transversal, build_poset, parse_poset_spec
-from azsperner.twopart import Transversal, _optimal_transversal_count, well_paired_value
+from azsperner import best_full_transversal, build_poset, parse_poset_spec, verify_strict_two_part
+from azsperner.twopart import (
+    Transversal,
+    _lym_certificate,
+    _optimal_transversal_count,
+    well_paired_value,
+)
 
 
 def exhaustive_transversal(p, q) -> tuple[Transversal, int]:
@@ -47,23 +57,25 @@ def whitney_poset(sizes):
     return build_poset(elements, covers, name=f"whitney:{sizes}")
 
 
-def whitney_vectors(min_height, max_height):
-    """Level sizes 1..4, so that many levels tie."""
-    sizes = st.integers(min_value=1, max_value=4)
-    return st.lists(sizes, min_size=min_height + 1, max_size=max_height + 1)
+def whitney_vectors(min_height, max_height, smallest):
+    """Level sizes smallest..4, so that many levels tie, with a positive top
+    level: `whitney_poset` takes its height from the last rank."""
+    sizes = st.integers(min_value=smallest, max_value=4)
+    below = st.lists(sizes, min_size=min_height, max_size=max_height)
+    return st.tuples(below, st.integers(min_value=1, max_value=4)).map(lambda v: [*v[0], v[1]])
 
 
 @st.composite
-def whitney_pairs(draw, relation):
+def whitney_pairs(draw, relation, smallest=1):
     if relation == "<":
-        a = draw(whitney_vectors(0, 4))
-        b = draw(whitney_vectors(len(a), 5))
+        a = draw(whitney_vectors(0, 4, smallest))
+        b = draw(whitney_vectors(len(a), 5, smallest))
     elif relation == "=":
-        a = draw(whitney_vectors(0, 5))
-        b = draw(whitney_vectors(len(a) - 1, len(a) - 1))
+        a = draw(whitney_vectors(0, 5, smallest))
+        b = draw(whitney_vectors(len(a) - 1, len(a) - 1, smallest))
     else:
-        b = draw(whitney_vectors(0, 4))
-        a = draw(whitney_vectors(len(b), 5))
+        b = draw(whitney_vectors(0, 4, smallest))
+        a = draw(whitney_vectors(len(b), 5, smallest))
     return whitney_poset(a), whitney_poset(b)
 
 
@@ -71,7 +83,8 @@ def whitney_pairs(draw, relation):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_greedy_matches_exhaustive_oracle(relation, data):
-    p, q = data.draw(whitney_pairs(relation))
+    # levels of size 0 take the long levels left over
+    p, q = data.draw(whitney_pairs(relation, smallest=0))
     sign = (p.height > q.height) - (p.height < q.height)
     assert sign == {"<": -1, "=": 0, ">": 1}[relation]
     transversal, value = best_full_transversal(p, q)
@@ -92,6 +105,37 @@ def test_optimal_transversal_count_matches_the_permutation_loop(relation, data):
         for injection in permutations(range(len(long)), len(short))
     ]
     assert _optimal_transversal_count(p.whitney, q.whitney) == values.count(max(values))
+
+
+def optimum(x, y):
+    """The largest level-product sum of a full transversal, by every injection."""
+    short, long = sorted((x, y), key=len)
+    return max(
+        sum(s * long[j] for s, j in zip(short, injection))
+        for injection in permutations(range(len(long)), len(short))
+    )
+
+
+@pytest.mark.parametrize("relation", ["<", "=", ">"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_certificate_is_silent_exactly_where_a_used_block_fails(relation, data):
+    p, q = data.draw(whitney_pairs(relation))
+    a, b = p.whitney, q.whitney
+    swap = len(a) > len(b)
+    short, long = (b, a) if swap else (a, b)
+    values = {}
+    for injection in permutations(range(len(long)), len(short)):
+        blocks = tuple((j, i) if swap else (i, j) for i, j in enumerate(injection))
+        values[blocks] = sum(a[i] * b[j] for i, j in blocks)
+    best = max(values.values())
+    used = {block for blocks, value in values.items() if value == best for block in blocks}
+    rows = {i for i in range(len(a)) if optimum(a[:i] + a[i + 1 :], b) < best}
+    cols = {j for j in range(len(b)) if optimum(a, b[:j] + b[j + 1 :]) < best}
+    fails = any(
+        not ((i in rows or b[j] == 1) and (j in cols or a[i] == 1)) for i, j in used
+    )
+    assert (_lym_certificate(p, q) is None) == fails
 
 
 SPECS = [
@@ -136,6 +180,37 @@ def test_boolean_20_level_sizes():
     transversal, value = best_full_transversal(b20, b20)
     assert value == 137846528820 == comb(40, 20)
     assert transversal.pairs == tuple((i, i) for i in range(21))
+
+
+def test_tall_random_vectors_pair_quickly():
+    # 3,000 levels a side: re-pairing the free levels per candidate took 42 s
+    rng = random.Random(3000)
+    p, q = (
+        SimpleNamespace(height=2999, whitney=tuple(rng.randint(1, 50) for _ in range(3000)))
+        for _ in range(2)
+    )
+    start = time.perf_counter()
+    transversal, value = best_full_transversal(p, q)
+    assert time.perf_counter() - start < 2.0
+    assert transversal.full and len(transversal.pairs) == 3000
+    assert len({i for i, _ in transversal.pairs}) == len({j for _, j in transversal.pairs}) == 3000
+    assert value == well_paired_value(p, q)
+    assert value == sum(p.whitney[i] * q.whitney[j] for i, j in transversal.pairs)
+
+
+def test_tall_chains_certify_in_closed_form():
+    # one sort per side: per-level and per-block re-pairings took 3.1 s
+    c3000 = parse_poset_spec("chains:3000")
+    start = time.perf_counter()
+    res = verify_strict_two_part(c3000, c3000)
+    assert time.perf_counter() - start < 1.0
+    assert (res.holds, res.max_size, res.well_paired_size, res.maxima_count, res.method) == (
+        True,
+        3000,
+        3000,
+        math.factorial(3000),
+        "certificate",
+    )
 
 
 def test_tie_prefers_smaller_q_level():

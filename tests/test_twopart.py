@@ -44,7 +44,6 @@ from azsperner.twopart import (
     _level_blocks,
     conflict_graph,
     is_homogeneous_product,
-    is_two_part_sperner_slices,
     well_paired_value,
 )
 from test_search_kernels import graded_posets
@@ -60,6 +59,18 @@ def b1():
 @pytest.fixture(scope="module")
 def chain3():
     return gen_chain_product([3])
+
+
+def is_two_part_sperner_slices(p, q, fam):
+    """The slice characterization: every row and column slice is an antichain."""
+    rows: dict[int, set[int]] = {}
+    cols: dict[int, set[int]] = {}
+    for a, b in fam:
+        rows.setdefault(b, set()).add(a)
+        cols.setdefault(a, set()).add(b)
+    return all(p.is_antichain(r) for r in rows.values()) and all(
+        q.is_antichain(c) for c in cols.values()
+    )
 
 
 def transversal_family(p, q, pairs):
