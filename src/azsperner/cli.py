@@ -65,7 +65,7 @@ def _read_json(path: str, what: str):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise PosetError(f"cannot read {what} file {path!r}: {exc.strerror or exc}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PosetError(f"{what} file {path!r} is not valid JSON: {exc}") from None
 
 
@@ -86,8 +86,8 @@ def load_poset(spec: str) -> RankedPoset:
     return parse_poset_spec(spec)
 
 
-def parse_family(poset: RankedPoset, text: str | None, seed: int | None = None) -> frozenset[int]:
-    """Family literals: comma-separated ids or labels, @file, or random:n:seed."""
+def parse_family(poset: RankedPoset, text: str | None) -> frozenset[int]:
+    """Family literals: comma-separated ids or labels, @file, or random:n[:seed] (seed 0)."""
     if text is None:
         raise PosetError("this command needs --family")
     if text.startswith("@"):
@@ -102,7 +102,7 @@ def parse_family(poset: RankedPoset, text: str | None, seed: int | None = None) 
         size, *rest = _ints(text, parts[1:])
         if not 0 <= size <= poset.n:
             raise PosetError(f"family {text!r}: cannot draw {size} of {poset.n} elements")
-        rng = random.Random(rest[0] if rest else (seed or 0))
+        rng = random.Random(rest[0] if rest else 0)
         return frozenset(rng.sample(range(poset.n), size))
     members = set()
     for token in split_top_level(text):
@@ -241,7 +241,7 @@ def cmd_az(args) -> int:
         total, expected = report.total, Fraction(1)
         breakdown = report.to_json
     else:
-        fam = parse_family(poset, args.family, seed=args.seed)
+        fam = parse_family(poset, args.family)
         if identity == "thm1":
             rep = az_identity_sum(poset, fam)
             total, expected = rep.total, Fraction(1)
@@ -290,7 +290,7 @@ def cmd_sperner(args) -> int:
         )
         return 0
     if args.action == "lym":
-        fam = parse_family(poset, args.family, seed=args.seed)
+        fam = parse_family(poset, args.family)
         emit(
             _report(
                 "sperner",
@@ -302,7 +302,7 @@ def cmd_sperner(args) -> int:
         )
         return 0
     if args.action == "decompose":
-        fam = parse_family(poset, args.family, seed=args.seed)
+        fam = parse_family(poset, args.family)
         parts = dual_dilworth_decompose(poset, fam)
         ok, chain = is_k_sperner(poset, fam, max(args.k, len(parts)))
         emit(
@@ -493,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thm1", "keylemma", "cor2", "cor3", "thm5"],
     )
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--breakdown", action="store_true", help="include per-element terms")
     sp.set_defaults(fn=cmd_az)
 
@@ -502,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poset", "-p", required=True)
     sp.add_argument("--family")
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--seed", type=int)
     sp.set_defaults(fn=cmd_sperner)
 
     sp = sub.add_parser("twopart", help="product-poset machinery")
@@ -521,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_cover)
 
     sp = sub.add_parser("suite", help="run the acceptance criteria")
-    sp.add_argument("--level", default="desk", choices=["desk"])
     sp.add_argument("--criterion", type=int)
     sp.set_defaults(fn=cmd_suite)
 

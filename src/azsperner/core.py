@@ -17,12 +17,15 @@ from .errors import (
     CoverRankError,
     NotGradedError,
     PosetError,
+    SizeLimitError,
     UnknownLabelError,
 )
 
 Family = frozenset[int]
 
 CHAIN_ENUM_CAP = 100_000
+# Most elements a generated poset may have, and the highest rank of any poset.
+ELEMENT_CAP = 100_000
 # Most maximum families (antichains, k-Sperner families, independent sets) listed.
 SOLUTION_CAP = 1_000_000
 
@@ -98,6 +101,8 @@ class RankedPoset:
         self.covers = tuple(sorted(cover_set))
 
         self.height = max(self.ranks)
+        if self.height > ELEMENT_CAP:
+            raise SizeLimitError(f"rank {self.height} is above the cap {ELEMENT_CAP}")
         level_lists: list[list[int]] = [[] for _ in range(self.height + 1)]
         for x, r in enumerate(self.ranks):
             level_lists[r].append(x)
@@ -451,7 +456,7 @@ def from_json(obj: dict | str, source: str = "poset JSON") -> RankedPoset:
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise PosetError(f"{source} is not valid JSON: {exc}") from None
     elements = [
         (_json_field(e, "id", int, f"{source} element {i}"),

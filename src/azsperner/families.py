@@ -5,24 +5,23 @@ counterexample posets.
 
 Each generator is a pure function returning a validated RankedPoset.  Element
 counts are capped at desk scale because everything downstream is exhaustive.
+The subspace lattice and the affine poset share one enumeration of the
+subspaces of GF(q)^n, on the field tables of `gf`, and one builder of the
+covers by inclusion.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product as iproduct
+from itertools import accumulate, combinations, product as iproduct
 
-from .core import RankedPoset, build_poset
-from .errors import (
-    NotPrimePowerError,
-    PosetError,
-    RankOutOfRangeError,
-    SizeLimitError,
-)
-from .gf import field, gaussian_binomial, is_prime_power
+from .core import ELEMENT_CAP, RankedPoset, build_poset
+from .errors import PosetError, RankOutOfRangeError, SizeLimitError
+from .gf import field, gaussian_binomial
 
-ELEMENT_CAP = 100_000
 TRIAL_DIVISION_CAP = 10**6
+# deepest trunc(...)/prod(...) nesting a spec may have; each level is one recursive call
+NESTING_CAP = 100
 
 
 def _check_dimension(what: str, n: int) -> None:
@@ -152,108 +151,86 @@ def gen_divisor_lattice(m: int) -> RankedPoset:
 # -- subspace machinery ----------------------------------------------------
 
 
-def _rref_bases(n: int, k: int, q: int):
-    """Yield every reduced row-echelon basis of a k-dim subspace of GF(q)^n."""
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(n), k):
-        free_pos = [
-            (i, j)
-            for i in range(k)
-            for j in range(n)
-            if j > pivots[i] and j not in pivots
-        ]
-        for values in iproduct(range(q), repeat=len(free_pos)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_pos, values):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def _span(rows, n: int, q: int) -> frozenset[tuple[int, ...]]:
-    gf = field(q)
-    vectors = {tuple([0] * n)}
-    for row in rows:
-        vectors = {
-            gf.vec_add(v, gf.vec_scale(c, row)) for v in vectors for c in range(q)
-        }
-    return frozenset(vectors)
-
-
-def _vec_label(v: tuple[int, ...]) -> str:
+def _vec_label(v) -> str:
     return "".join(map(str, v))
+
+
+def _subspaces(n: int, q: int):
+    """Yield (vectors, dimension, label) for every subspace of GF(q)^n, in the
+    order of dimension, pivot columns and free entries of its reduced
+    row-echelon basis; the label lists that basis."""
+    add, mul = field(q)
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free_pos = [
+                (i, j) for i in range(k) for j in range(n) if j > pivots[i] and j not in pivots
+            ]
+            for values in iproduct(range(q), repeat=len(free_pos)):
+                rows = [[0] * n for _ in range(k)]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, j), v in zip(free_pos, values):
+                    rows[i][j] = v
+                vectors = [(0,) * n]
+                for row in rows:
+                    multiples = [[mul[c][x] for x in row] for c in range(q)]
+                    vectors = [
+                        tuple(add[a][b] for a, b in zip(v, m)) for v in vectors for m in multiples
+                    ]
+                yield frozenset(vectors), k, "[" + " ".join(map(_vec_label, rows)) + "]"
+
+
+def _check_gf_size(kind: str, what: str, n: int, q: int) -> None:
+    """Refuse a q that is not a supported prime power, then a poset past the cap."""
+    field(q)
+    _check_dimension(what, n)
+    count = sum(whitney_oracle(kind, n, q))
+    if count > ELEMENT_CAP:
+        raise SizeLimitError(f"{what} has {count} elements (> {ELEMENT_CAP})")
+
+
+def _inclusion_poset(sets: list[tuple[frozenset, int, str]], name: str) -> RankedPoset:
+    """(set, rank, label) triples ordered by inclusion; the ranks are
+    dimensions, so each cover joins sets of consecutive ranks."""
+    by_rank: dict[int, list[int]] = {}
+    for i, (_, k, _) in enumerate(sets):
+        by_rank.setdefault(k, []).append(i)
+    covers = [
+        (i, j)
+        for k, lower in by_rank.items()
+        for i in lower
+        for j in by_rank.get(k + 1, ())
+        if sets[i][0] <= sets[j][0]
+    ]
+    elements = [(i, k) for i, (_, k, _) in enumerate(sets)]
+    return build_poset(elements, covers, name=name, labels=[lab for _, _, lab in sets])
 
 
 def gen_subspace_lattice(n: int, q: int) -> RankedPoset:
     """All subspaces of GF(q)^n ordered by inclusion; rank is dimension."""
-    if not is_prime_power(q):
-        raise NotPrimePowerError(f"q={q} is not a prime power <= 9")
-    _check_dimension("subspace lattice", n)
-    count = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
-    if count > ELEMENT_CAP:
-        raise SizeLimitError(f"subspace lattice has {count} elements (> {ELEMENT_CAP})")
-    spaces: list[tuple[frozenset, int, str]] = []
-    for k in range(n + 1):
-        for basis in _rref_bases(n, k, q):
-            span = _span(basis, n, q)
-            label = "[" + " ".join(_vec_label(r) for r in basis) + "]"
-            spaces.append((span, k, label))
-    elements = [(i, k) for i, (_, k, _) in enumerate(spaces)]
-    covers = []
-    by_dim: dict[int, list[int]] = {}
-    for i, (_, k, _) in enumerate(spaces):
-        by_dim.setdefault(k, []).append(i)
-    for k in range(n):
-        for i in by_dim.get(k, []):
-            for j in by_dim.get(k + 1, []):
-                if spaces[i][0] <= spaces[j][0]:
-                    covers.append((i, j))
-    labels = [lab for _, _, lab in spaces]
-    return build_poset(elements, covers, name=f"subspace:{n},{q}", labels=labels)
+    _check_gf_size("subspace", "subspace lattice", n, q)
+    return _inclusion_poset(list(_subspaces(n, q)), f"subspace:{n},{q}")
 
 
 def gen_affine_poset(n: int, q: int) -> RankedPoset:
     """All affine subspaces (cosets v + U) of GF(q)^n ordered by inclusion.
 
     Rank is the dimension of the direction space; all q^n points are minimal,
-    so there is no universal lower bound.
+    so there is no universal lower bound.  The cosets of each subspace are
+    listed by their least point, which also labels them.
     """
-    if not is_prime_power(q):
-        raise NotPrimePowerError(f"q={q} is not a prime power <= 9")
-    _check_dimension("affine poset", n)
-    gf = field(q)
-    count = sum(gaussian_binomial(n, k, q) * q ** (n - k) for k in range(n + 1))
-    if count > ELEMENT_CAP:
-        raise SizeLimitError(f"affine poset has {count} elements (> {ELEMENT_CAP})")
-    all_points = list(iproduct(range(q), repeat=n))
-    seen: dict[frozenset, tuple[int, str]] = {}
-    order: list[frozenset] = []
-    for k in range(n + 1):
-        for basis in _rref_bases(n, k, q):
-            span = _span(basis, n, q)
-            for v in all_points:
-                coset = frozenset(gf.vec_add(v, u) for u in span)
-                if coset in seen:
-                    continue
-                rep = min(coset)
-                label = _vec_label(rep) + "+[" + " ".join(_vec_label(r) for r in basis) + "]"
-                seen[coset] = (k, label)
-                order.append(coset)
-    elements = [(i, seen[c][0]) for i, c in enumerate(order)]
-    by_dim: dict[int, list[int]] = {}
-    for i, c in enumerate(order):
-        by_dim.setdefault(seen[c][0], []).append(i)
-    covers = []
-    for k in range(n):
-        for i in by_dim.get(k, []):
-            for j in by_dim.get(k + 1, []):
-                if order[i] <= order[j]:
-                    covers.append((i, j))
-    labels = [seen[c][1] for c in order]
-    return build_poset(elements, covers, name=f"affine:{n},{q}", labels=labels)
+    _check_gf_size("affine", "affine poset", n, q)
+    add, _ = field(q)
+    points = list(iproduct(range(q), repeat=n))
+    cosets = []
+    for span, k, label in _subspaces(n, q):
+        covered: set[tuple[int, ...]] = set()
+        for v in points:
+            if v not in covered:
+                coset = frozenset(tuple(add[a][b] for a, b in zip(v, u)) for u in span)
+                covered |= coset
+                cosets.append((coset, k, _vec_label(v) + "+" + label))
+    return _inclusion_poset(cosets, f"affine:{n},{q}")
 
 
 # -- derived constructions ----------------------------------------------------
@@ -408,6 +385,8 @@ def parse_poset_spec(spec: str) -> RankedPoset:
     "prod(boolean:3,chains:3,2)".
     """
     spec = spec.strip()
+    if max(accumulate((ch == "(") - (ch == ")") for ch in spec), default=0) > NESTING_CAP:
+        raise PosetError(f"poset spec nests deeper than {NESTING_CAP} levels")
     if spec == "fig1a":
         return gen_fig1a()
     if spec == "fig1b":

@@ -1,8 +1,8 @@
 """Small finite fields GF(q) for q <= 9, as explicit add/mul tables.
 
-Prime q uses modular arithmetic; q in {4, 8, 9} builds the tables once from a
-fixed irreducible polynomial over the base prime.  Elements are encoded as
-0..q-1 (base-p digit encoding of polynomial coefficients).
+GF(p^k) is GF(p)[x] modulo a fixed monic irreducible polynomial of degree k;
+a prime q is the degree-1 case.  Elements are encoded as 0..q-1, the base-p
+digits of a polynomial's coefficients, lowest degree first.
 """
 
 from __future__ import annotations
@@ -12,106 +12,39 @@ from functools import lru_cache
 
 from .errors import NotPrimePowerError
 
-# coefficients of a monic irreducible polynomial, lowest degree first,
-# excluding the leading 1: x^2+x+1, x^3+x+1, x^2+1
-_IRREDUCIBLE = {4: (1, 1), 8: (1, 1, 0), 9: (1, 0)}
-
-_PRIMES = (2, 3, 5, 7)
-
-
-def _digits(x: int, p: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(x % p)
-        x //= p
-    return tuple(out)
-
-
-def _undigits(ds: tuple[int, ...], p: int) -> int:
-    x = 0
-    for d in reversed(ds):
-        x = x * p + d
-    return x
-
-
-class GF:
-    """Arithmetic in GF(q); add/mul/neg are total on 0..q-1."""
-
-    def __init__(self, q: int):
-        if q in _PRIMES:
-            self.q = q
-            self.p = q
-            self.k = 1
-            self._add = None
-            self._mul = None
-        elif q in _IRREDUCIBLE:
-            self.q = q
-            self.p = 2 if q in (4, 8) else 3
-            self.k = 2 if q in (4, 9) else 3
-            self._build_tables()
-        else:
-            raise NotPrimePowerError(f"q={q} is not a supported prime power (need q <= 9)")
-
-    def _build_tables(self) -> None:
-        p, k, q = self.p, self.k, self.q
-        red = _IRREDUCIBLE[q]  # x^k = -(red polynomial)
-        self._add = [[0] * q for _ in range(q)]
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = _digits(a, p, k)
-            for b in range(q):
-                db = _digits(b, p, k)
-                self._add[a][b] = _undigits(tuple((x + y) % p for x, y in zip(da, db)), p)
-        for a in range(q):
-            da = _digits(a, p, k)
-            for b in range(q):
-                db = _digits(b, p, k)
-                prod = [0] * (2 * k - 1)
-                for i, x in enumerate(da):
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-                for deg in range(2 * k - 2, k - 1, -1):
-                    c = prod[deg]
-                    if c:
-                        prod[deg] = 0
-                        for j, r in enumerate(red):
-                            prod[deg - k + j] = (prod[deg - k + j] - c * r) % p
-                self._mul[a][b] = _undigits(tuple(prod[:k]), p)
-
-    def add(self, a: int, b: int) -> int:
-        if self._add is None:
-            return (a + b) % self.p
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        if self._add is None:
-            return (-a) % self.p
-        return next(b for b in range(self.q) if self._add[a][b] == 0)
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul is None:
-            return (a * b) % self.p
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
-
-    def vec_add(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.add(a, b) for a, b in zip(u, v))
-
-    def vec_scale(self, c: int, u: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.mul(c, a) for a in u)
+# q -> (p, coefficients of a monic irreducible polynomial over GF(p), lowest
+# degree first, without the leading 1): x, x^2+x+1, x^3+x+1, x^2+1
+_FIELDS = {
+    2: (2, (0,)), 3: (3, (0,)), 5: (5, (0,)), 7: (7, (0,)),
+    4: (2, (1, 1)), 8: (2, (1, 1, 0)), 9: (3, (1, 0)),
+}
 
 
 @lru_cache(maxsize=None)
-def field(q: int) -> GF:
-    return GF(q)
+def field(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The (add, mul) tables of GF(q): a + b is add[a][b], a * b is mul[a][b]."""
+    if q not in _FIELDS:
+        raise NotPrimePowerError(f"q={q} is not a prime power <= 9")
+    p, red = _FIELDS[q]
+    k = len(red)
+    digits = [[a // p**i % p for i in range(k)] for a in range(q)]
 
+    def encode(coeffs) -> int:
+        return sum(c % p * p**i for i, c in enumerate(coeffs))
 
-def is_prime_power(q: int) -> bool:
-    return q in _PRIMES or q in _IRREDUCIBLE
+    def times(da, db) -> int:
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] += x * y
+        for deg in range(2 * k - 2, k - 1, -1):  # x^k = -(red polynomial)
+            for j, r in enumerate(red):
+                prod[deg - k + j] -= prod[deg] * r
+        return encode(prod[:k])
+
+    add = tuple(tuple(encode(map(sum, zip(da, db))) for db in digits) for da in digits)
+    mul = tuple(tuple(times(da, db) for db in digits) for da in digits)
+    return add, mul
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

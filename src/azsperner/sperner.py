@@ -279,14 +279,19 @@ def _searchable(poset: RankedPoset, k: int) -> bool:
 
 
 def _lym_certificate(poset: RankedPoset, k: int) -> StrictSpernerResult | None:
-    """The verdict on a strictly normal poset with at least k levels, or None.
+    """The verdict at k at or above the number of levels, or on a strictly
+    normal poset with at least k levels; otherwise None.
 
+    A cover raises rank by one, so no chain has more elements than there are
+    levels: from k levels on, the whole poset is the unique maximum.
     A k-Sperner family splits into at most k antichains (its depth layers),
     each of LYM sum at most 1.  With at least k levels a maximum reaches LYM
     sum k, so each layer has sum 1 and, by strict normality, is a full level:
     the maxima are exactly the unions of k levels of largest total size.
     """
-    if not poset.is_graded or k > len(poset.whitney):
+    if k >= len(poset.whitney):
+        return StrictSpernerResult(True, k, poset.n, 1, None, method="certificate")
+    if not poset.is_graded:
         return None
     if not strictly_normal_fast_path(poset):
         # the subset scan visits 2^|level| subsets of each level above the
@@ -311,11 +316,13 @@ def _lym_certificate(poset: RankedPoset, k: int) -> StrictSpernerResult | None:
 def check_strict_k_sperner(poset: RankedPoset, k: int) -> StrictSpernerResult:
     """Are all maximum k-Sperner families unions of complete levels?
 
-    A graded poset with at least k levels that passes `check_strictly_normal`
-    is decided by the LYM certificate, with no search: the verdict holds, the
-    maximum is the sum of the k largest levels, and the maxima are the k-sets
-    of levels reaching it.  Every other input (not graded, fewer than k levels,
-    or not strictly normal) is searched: up to 24 elements any k is handled
+    At k at or above the number of levels no chain has more than k elements,
+    so the verdict holds on any poset, with the whole poset as the unique
+    maximum.  A graded poset with more than k levels that passes
+    `check_strictly_normal` is decided by the LYM certificate, with no search:
+    the verdict holds, the maximum is the sum of the k largest levels, and the
+    maxima are the k-sets of levels reaching it.  Every other input (not
+    graded, or not strictly normal) is searched: up to 24 elements any k is handled
     exhaustively; for k = 1 the maximum antichains of posets up to 2000
     elements are enumerated.  The search also decides a poset that is not
     regular and level-connected when strict normality would need a subset

@@ -25,7 +25,7 @@ from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .az import az_identity_sum
-from .core import RankedPoset, element_id
+from .core import ELEMENT_CAP, RankedPoset, element_id
 from .errors import (
     EmptySliceError,
     NotMaximalChainError,
@@ -34,7 +34,6 @@ from .errors import (
     PosetError,
     SizeLimitError,
 )
-from .families import ELEMENT_CAP
 from .mis import MaxIndependentSet
 from .properties import ChainCovering, build_chain_covering, check_normal, check_strictly_normal
 
@@ -412,10 +411,14 @@ def verify_strict_two_part(p: RankedPoset, q: RankedPoset) -> StrictTwoPartResul
     Both factors must pass `check_strictly_normal`.  The LYM certificate
     (`_lym_certificate`) decides from the level sizes alone, with no product
     built, unless some level block that an optimal transversal uses fails its
-    block test.  Then every maximum is enumerated (products of at most 36
-    elements): each must meet each level-product block in nothing or in all
-    of it, and the first other maximum, in ascending mask order, is decoded
-    as the falsifying witness.
+    block test.  Then the verdict fails: the failing block pairs a short level
+    L_i, |L_i| > 1, with a long level while a long level of the same size is
+    left over, and moving part of L_i's block onto that spare level keeps a
+    maximum, 2-part Sperner family that is not homogeneous.  The enumeration
+    (products of at most 36 elements) supplies the maxima count and the first
+    non-homogeneous maximum, in ascending mask order, as the witness: a
+    maximum is homogeneous iff it meets each level-product block in nothing
+    or in all of it.
     """
     for poset in (p, q):
         if not check_strictly_normal(poset).holds:

@@ -100,6 +100,26 @@ class TestAZ:
         assert code == 0 and lines[0]["result"] == "1/1"
         assert lines[0]["random_algorithm"] == "mt19937"
 
+    def test_random_seed_reaches_the_digest(self, capsys):
+        argv = ["az", "verify", "--poset", "boolean:4", "--identity", "thm1", "--family"]
+        _, one = run_cli(capsys, *argv, "random:5:1")
+        _, two = run_cli(capsys, *argv, "random:5:2")
+        assert one[0]["inputs_digest"] != two[0]["inputs_digest"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["az", "verify", "--poset", "boolean:4", "--family", "random:5", "--identity",
+             "thm1", "--seed", "1"],
+            ["sperner", "lym", "--poset", "boolean:3", "--family", "random:2", "--seed", "1"],
+            ["suite", "--level", "desk", "--criterion", "2"],
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_keylemma_on_affine(self, capsys):
         code, lines = run_cli(
             capsys,
@@ -196,6 +216,14 @@ class TestSperner:
             capsys, "sperner", "lym", "--poset", "boolean:3", "--family", "{1},{2,3}"
         )
         assert code == 0 and lines[0]["result"] == "2/3"
+
+    @pytest.mark.parametrize("spec, k, n", [("boolean:5", "7", 32), ("chains:7,4", "10", 28)])
+    def test_strict_k_past_the_levels_is_the_whole_poset(self, capsys, spec, k, n):
+        code, lines = run_cli(capsys, "sperner", "strict", "--poset", spec, "--k", k)
+        assert code == 0
+        report = lines[0]
+        assert (report["holds"], report["max_size"], report["maxima_count"]) == (True, n, 1)
+        assert report["method"] == "certificate"
 
 
 class TestTwoPart:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from azsperner import (
+    build_poset,
     check_strict_k_sperner,
     check_strict_lym,
     check_strictly_normal,
@@ -276,15 +277,26 @@ class TestStrictSpernerCertificate:
         strict = check_strictly_normal(poset).holds
         for k in range(1, len(poset.whitney) + 1):
             result = check_strict_k_sperner(poset, k)
-            assert result.method == ("certificate" if strict else "search")
+            top = k == len(poset.whitney)
+            assert result.method == ("certificate" if strict or top else "search")
             assert result == reference_strict_k_sperner(poset, k)
 
     def test_method_names_the_path(self, b3, fig1a):
         assert check_strict_k_sperner(b3, 2).method == "certificate"
-        # k above the number of levels, and a poset that is not strictly normal
-        assert check_strict_k_sperner(b3, 5).method == "search"
+        # k above the number of levels: the whole poset, with no search
+        assert check_strict_k_sperner(b3, 5).method == "certificate"
         res = check_strict_k_sperner(fig1a, 1)
         assert res.method == "search" and res.to_json()["method"] == "search"
+
+    def test_k_at_or_above_the_levels_takes_the_whole_poset(self):
+        # not graded: element 1 is minimal and maximal below the top rank
+        poset = build_poset([(0, 0), (1, 0), (2, 1), (3, 2)], [(0, 2), (2, 3)])
+        assert not poset.is_graded
+        for k in (3, 4):
+            result = check_strict_k_sperner(poset, k)
+            assert result.method == "certificate"
+            assert (result.holds, result.max_size, result.maxima_count) == (True, 4, 1)
+            assert result == reference_strict_k_sperner(poset, k)
 
     def test_falls_back_when_the_strictness_scan_refuses(self, monkeypatch):
         # a 25-element level is past the subset scan: the search decides k = 1

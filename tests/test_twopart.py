@@ -349,6 +349,29 @@ class TestStrictTwoPartOnMasks:
         assert block_test(near) == is_homogeneous_product(p, q, pairs(near))
 
 
+def shifted_family(p, q):
+    """A maximum 2-part Sperner family that is not homogeneous, where the LYM
+    certificate is silent: in the best full transversal, a short level L_i of
+    two or more elements meets a long level, and a long level of that size is
+    left over; L_i's first element keeps the block, the rest move to the spare."""
+    flip = len(p.whitney) > len(q.whitney)
+    short, long = (q, p) if flip else (p, q)
+    transversal, _ = best_full_transversal(short, long)
+    used = {j for _, j in transversal.pairs}
+    for i, j in transversal.pairs:
+        spare = [
+            j2 for j2, size in enumerate(long.whitney) if j2 not in used and size == long.whitney[j]
+        ]
+        if len(short.levels[i]) > 1 and spare:
+            first, *rest = short.levels[i]
+            kept = [ij for ij in transversal.pairs if ij != (i, j)]
+            fam = transversal_family(short, long, kept)
+            fam |= {(first, b) for b in long.levels[j]}
+            fam |= {(a, b) for a in rest for b in long.levels[spare[0]]}
+            return frozenset((b, a) for a, b in fam) if flip else fam
+    raise AssertionError(f"no level to shift in {p.name} x {q.name}")
+
+
 # strictly normal factors whose products of at most 36 elements the
 # enumeration can decide
 STRICT_FACTORS = [
@@ -381,6 +404,26 @@ class TestStrictTwoPartCertificate:
         assert products == 81
         # the certificate was silent only where the verdict fails
         assert silent == failing and len(failing) == 14
+
+    def test_silent_only_where_the_verdict_fails(self):
+        # a silent certificate pairs a short level of two or more elements with
+        # a long level while a long level of that size is left over; moving
+        # part of that block to the spare level keeps the size and every slice
+        # an antichain, but breaks homogeneity
+        factors = [parse_poset_spec(spec) for spec in STRICT_FACTORS]
+        silent = searched = 0
+        for p, q in product(factors, factors):
+            if twopart._lym_certificate(p, q) is not None:
+                continue
+            silent += 1
+            fam = shifted_family(p, q)
+            assert is_two_part_sperner(p, q, fam)[0], (p.name, q.name)
+            assert len(fam) == well_paired_value(p, q)
+            assert not is_homogeneous_product(p, q, fam)
+            if p.n * q.n <= ENUMERATE_CAP:
+                searched += 1
+                assert not verify_strict_two_part(p, q).holds
+        assert (silent, searched) == (28, 14)
 
     def test_method_names_the_path(self, b2, chain3):
         certified = verify_strict_two_part(b2, chain3)
