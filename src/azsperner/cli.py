@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Reports are JSON lines on stdout; every rational is emitted exactly as
-"p/q".  Exit codes: 0 when all reports pass, 1 when any fails, 2 on usage
-errors.
+Each subcommand is a generator of report dicts, and `main` alone prints
+them: one JSON line each on stdout, every rational exactly as "p/q".  The
+exit code follows from the reports: 0 when every report passes (verdict
+"pass", or "passed" true for a suite criterion), 1 when any fails or
+deviates, and 2 on a usage or input error; a PosetError also gets a JSON
+error report.  `export` without --dot or --json prints DOT and no report.
 """
 
 from __future__ import annotations
@@ -156,6 +159,19 @@ def _report(cmd: str, verdict: str, **fields) -> dict:
     return {"cmd": cmd, "verdict": verdict, **fields}
 
 
+def _passes(report: dict) -> bool:
+    """A command report passes on verdict "pass", a suite criterion when it passed."""
+    return report.get("verdict") == "pass" or report.get("passed") is True
+
+
+def _holds(holds: bool) -> str:
+    return "pass" if holds else "fail"
+
+
+def _equals(total: Fraction, expected: Fraction) -> str:
+    return "pass" if total == expected else "deviates"
+
+
 def _digest(*parts) -> str:
     import hashlib
 
@@ -164,11 +180,15 @@ def _digest(*parts) -> str:
 
 
 # -- subcommands ----------------------------------------------------------
+#
+# Each cmd_* yields its reports; main prints them and derives the exit code.
+# The action and identity tables hold cli functions that look the library
+# names up at call time, so rebinding those names (as tracing does) reaches them.
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args):
     poset = load_poset(args.poset)
-    report = _report(
+    yield _report(
         "gen",
         "pass",
         poset=poset.name,
@@ -177,11 +197,9 @@ def cmd_gen(args) -> int:
         graded=poset.is_graded,
         u_poset=poset.is_u_poset,
     )
-    emit(report)
-    return 0
 
 
-def cmd_export(args) -> int:
+def cmd_export(args):
     poset = load_poset(args.poset)
     wrote = []
     if args.dot:
@@ -190,11 +208,10 @@ def cmd_export(args) -> int:
     if args.json:
         Path(args.json).write_text(poset.to_json_str(indent=2))
         wrote.append(args.json)
-    if not wrote:
+    if wrote:
+        yield _report("export", "pass", poset=poset.name, wrote=wrote)
+    else:
         sys.stdout.write(poset.to_dot())
-        return 0
-    emit(_report("export", "pass", poset=poset.name, wrote=wrote))
-    return 0
 
 
 _PROPERTY_CHECKS = {
@@ -206,63 +223,62 @@ _PROPERTY_CHECKS = {
 }
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     poset = load_poset(args.poset)
     result = _PROPERTY_CHECKS[args.property](poset, args.mode)
     obj = result.to_json()
     obj.pop("table", None)
-    emit(
-        _report(
-            "check",
-            "pass" if result.holds else "fail",
-            poset=poset.name,
-            **obj,
-        )
-    )
-    return 0 if result.holds else 1
+    yield _report("check", _holds(result.holds), poset=poset.name, **obj)
 
 
-def cmd_az(args) -> int:
+def _thm5(poset, args):
+    if not args.pairs:
+        raise PosetError("thm5 needs --pairs a:b,c:d (ids or labels)")
+    pairs = []
+    for token in split_top_level(args.pairs):
+        a_text, _, b_text = token.strip().partition(":")
+        fam_a, fam_b = parse_family(poset, a_text), parse_family(poset, b_text)
+        if len(fam_a) != 1 or len(fam_b) != 1:
+            raise PosetError(f"pair {token!r} must name one element on each side")
+        pairs.append((*fam_a, *fam_b))
+    report = second_az_identity(poset, SkewPairSystem(pairs=tuple(pairs)))
+    return report.total, Fraction(1), report.to_json
+
+
+def _thm1(poset, args):
+    report = az_identity_sum(poset, parse_family(poset, args.family))
+    return report.total, Fraction(1), report.to_json
+
+
+def _cor2(poset, args):
+    lym, rem = antichain_az(poset, parse_family(poset, args.family))
+    return lym + rem, Fraction(1), lambda: {"lym_part": _frac(lym), "remainder": _frac(rem)}
+
+
+# identity -> (poset, args) -> (total, expected, builder of the --breakdown JSON or None)
+_IDENTITIES = {
+    "thm1": _thm1,
+    "keylemma": lambda poset, args: (
+        key_lemma_sum(poset, parse_family(poset, args.family)), Fraction(1), None
+    ),
+    "cor2": _cor2,
+    "cor3": lambda poset, args: (
+        k_sperner_az(poset, parse_family(poset, args.family), args.k), Fraction(args.k), None
+    ),
+    "thm5": _thm5,
+}
+
+
+def cmd_az(args):
     poset = load_poset(args.poset)
     start = time.perf_counter()
-    identity = args.identity
-    breakdown = None  # builds the --breakdown JSON, only when asked for
-    if identity == "thm5":
-        if not args.pairs:
-            raise PosetError("thm5 needs --pairs a:b,c:d (ids or labels)")
-        pairs = []
-        for token in split_top_level(args.pairs):
-            a_text, _, b_text = token.strip().partition(":")
-            fam_a, fam_b = parse_family(poset, a_text), parse_family(poset, b_text)
-            if len(fam_a) != 1 or len(fam_b) != 1:
-                raise PosetError(f"pair {token!r} must name one element on each side")
-            pairs.append((*fam_a, *fam_b))
-        report = second_az_identity(poset, SkewPairSystem(pairs=tuple(pairs)))
-        total, expected = report.total, Fraction(1)
-        breakdown = report.to_json
-    else:
-        fam = parse_family(poset, args.family)
-        if identity == "thm1":
-            rep = az_identity_sum(poset, fam)
-            total, expected = rep.total, Fraction(1)
-            breakdown = rep.to_json
-        elif identity == "keylemma":
-            total, expected = key_lemma_sum(poset, fam), Fraction(1)
-        elif identity == "cor2":
-            lym, rem = antichain_az(poset, fam)
-            total, expected = lym + rem, Fraction(1)
-            breakdown = lambda: {"lym_part": _frac(lym), "remainder": _frac(rem)}
-        elif identity == "cor3":
-            total, expected = k_sperner_az(poset, fam, args.k), Fraction(args.k)
-        else:
-            raise PosetError(f"unknown identity {identity!r}")
-    verdict = "pass" if total == expected else "deviates"
+    total, expected, breakdown = _IDENTITIES[args.identity](poset, args)
     report = _report(
         "az",
-        verdict,
+        _equals(total, expected),
         poset=poset.name,
-        identity=identity,
-        inputs_digest=_digest(args.poset, args.family, args.pairs, identity, args.k),
+        identity=args.identity,
+        inputs_digest=_digest(args.poset, args.family, args.pairs, args.identity, args.k),
         result=_frac(total),
         expected=_frac(expected),
         random_algorithm=RANDOM_ALGORITHM if args.family and args.family.startswith("random:") else None,
@@ -270,193 +286,121 @@ def cmd_az(args) -> int:
     )
     if breakdown is not None and args.breakdown:
         report["breakdown"] = breakdown()
-    emit(report)
-    return 0 if verdict == "pass" else 1
+    yield report
 
 
-def cmd_sperner(args) -> int:
+def _sperner_max(poset, args):
+    fam = max_antichain(poset)
+    return "pass", {"size": len(fam), "family": sorted(fam)}
+
+
+def _sperner_decompose(poset, args):
+    fam = parse_family(poset, args.family)
+    parts = dual_dilworth_decompose(poset, fam)
+    ok, chain = is_k_sperner(poset, fam, args.k)
+    return _holds(ok), {
+        "parts": [sorted(p) for p in parts],
+        "chain": None if chain is None else list(chain),
+    }
+
+
+def _sperner_strict(poset, args):
+    result = check_strict_k_sperner(poset, args.k)
+    return _holds(result.holds), result.to_json()
+
+
+# action -> (poset, args) -> (verdict, report fields after "action")
+_SPERNER_ACTIONS = {
+    "max": _sperner_max,
+    "lym": lambda poset, args: (
+        "pass", {"result": _frac(lym_sum(poset, parse_family(poset, args.family)))}
+    ),
+    "strict": _sperner_strict,
+    "decompose": _sperner_decompose,
+}
+
+
+def cmd_sperner(args):
     poset = load_poset(args.poset)
-    if args.action == "max":
-        fam = max_antichain(poset)
-        emit(
-            _report(
-                "sperner",
-                "pass",
-                poset=poset.name,
-                action="max",
-                size=len(fam),
-                family=sorted(fam),
-            )
-        )
-        return 0
-    if args.action == "lym":
-        fam = parse_family(poset, args.family)
-        emit(
-            _report(
-                "sperner",
-                "pass",
-                poset=poset.name,
-                action="lym",
-                result=_frac(lym_sum(poset, fam)),
-            )
-        )
-        return 0
-    if args.action == "decompose":
-        fam = parse_family(poset, args.family)
-        parts = dual_dilworth_decompose(poset, fam)
-        ok, chain = is_k_sperner(poset, fam, max(args.k, len(parts)))
-        emit(
-            _report(
-                "sperner",
-                "pass" if ok else "fail",
-                poset=poset.name,
-                action="decompose",
-                parts=[sorted(p) for p in parts],
-                chain=None if chain is None else list(chain),
-            )
-        )
-        return 0
-    if args.action == "strict":
-        result = check_strict_k_sperner(poset, args.k)
-        emit(
-            _report(
-                "sperner",
-                "pass" if result.holds else "fail",
-                poset=poset.name,
-                action="strict",
-                **result.to_json(),
-            )
-        )
-        return 0 if result.holds else 1
-    raise PosetError(f"unknown sperner action {args.action!r}")
+    verdict, fields = _SPERNER_ACTIONS[args.action](poset, args)
+    yield _report("sperner", verdict, poset=poset.name, action=args.action, **fields)
 
 
-def cmd_twopart(args) -> int:
+def _twopart_max(p, q, args):
+    size, families = max_two_part_sperner_exact(p, q, enumerate_all=args.all)
+    listed = (
+        {"families": [sorted(f) for f in families]} if args.all else {"family": sorted(families[0])}
+    )
+    return "pass", {"size": size, "count": len(families), **listed}
+
+
+def _twopart_strict(p, q, args):
+    result = verify_strict_two_part(p, q)
+    return _holds(result.holds), result.to_json()
+
+
+def _twopart_az(p, q, args):
+    total = two_part_az_sum(p, q, parse_pair_family(args.family)).total
+    expected = Fraction(q.height + 1)
+    return _equals(total, expected), {
+        "inputs_digest": _digest(args.p, args.q, args.family),
+        "result": _frac(total),
+        "expected": _frac(expected),
+    }
+
+
+def _twopart_identity(p, q, args):
+    lym, rem = two_part_sperner_identity(p, q, parse_pair_family(args.family))
+    expected = Fraction(min(p.height, q.height) + 1)
+    return _equals(lym + rem, expected), {
+        "inputs_digest": _digest(args.p, args.q, args.family),
+        "lym": _frac(lym),
+        "remainder": _frac(rem),
+        "expected": _frac(expected),
+    }
+
+
+def _twopart_well_paired(p, q, args):
+    fam, transversal = well_paired_family(p, q)
+    return "pass", {"size": len(fam), "transversal": transversal.to_json(), "family": sorted(fam)}
+
+
+# action -> (p, q, args) -> (verdict, report fields after "action")
+_TWOPART_ACTIONS = {
+    "max": _twopart_max,
+    "verify-strict": _twopart_strict,
+    "az": _twopart_az,
+    "identity": _twopart_identity,
+    "lym": lambda p, q, args: (
+        "pass", {"result": _frac(two_part_lym(p, q, parse_pair_family(args.family)))}
+    ),
+    "well-paired": _twopart_well_paired,
+}
+
+
+def cmd_twopart(args):
     p = load_poset(args.p)
     q = load_poset(args.q)
-    if args.action == "max":
-        size, families = max_two_part_sperner_exact(p, q, enumerate_all=args.all)
-        report = _report(
-            "twopart",
-            "pass",
-            p=p.name,
-            q=q.name,
-            action="max",
-            size=size,
-            count=len(families),
-        )
-        report["families" if args.all else "family"] = (
-            [sorted(f) for f in families] if args.all else sorted(families[0])
-        )
-        emit(report)
-        return 0
-    if args.action == "verify-strict":
-        result = verify_strict_two_part(p, q)
-        emit(
-            _report(
-                "twopart",
-                "pass" if result.holds else "fail",
-                p=p.name,
-                q=q.name,
-                action="verify-strict",
-                **result.to_json(),
-            )
-        )
-        return 0 if result.holds else 1
-    if args.action == "az":
-        fam = parse_pair_family(args.family)
-        report = two_part_az_sum(p, q, fam)
-        expected = Fraction(q.height + 1)
-        verdict = "pass" if report.total == expected else "deviates"
-        emit(
-            _report(
-                "twopart",
-                verdict,
-                p=p.name,
-                q=q.name,
-                action="az",
-                inputs_digest=_digest(args.p, args.q, args.family),
-                result=_frac(report.total),
-                expected=_frac(expected),
-            )
-        )
-        return 0 if verdict == "pass" else 1
-    if args.action == "identity":
-        fam = parse_pair_family(args.family)
-        lym, rem = two_part_sperner_identity(p, q, fam)
-        expected = Fraction(min(p.height, q.height) + 1)
-        verdict = "pass" if lym + rem == expected else "deviates"
-        emit(
-            _report(
-                "twopart",
-                verdict,
-                p=p.name,
-                q=q.name,
-                action="identity",
-                inputs_digest=_digest(args.p, args.q, args.family),
-                lym=_frac(lym),
-                remainder=_frac(rem),
-                expected=_frac(expected),
-            )
-        )
-        return 0 if verdict == "pass" else 1
-    if args.action == "lym":
-        fam = parse_pair_family(args.family)
-        emit(
-            _report(
-                "twopart",
-                "pass",
-                p=p.name,
-                q=q.name,
-                action="lym",
-                result=_frac(two_part_lym(p, q, fam)),
-            )
-        )
-        return 0
-    if args.action == "well-paired":
-        fam, transversal = well_paired_family(p, q)
-        emit(
-            _report(
-                "twopart",
-                "pass",
-                p=p.name,
-                q=q.name,
-                action="well-paired",
-                size=len(fam),
-                transversal=transversal.to_json(),
-                family=sorted(fam),
-            )
-        )
-        return 0
-    raise PosetError(f"unknown twopart action {args.action!r}")
+    verdict, fields = _TWOPART_ACTIONS[args.action](p, q, args)
+    yield _report("twopart", verdict, p=p.name, q=q.name, action=args.action, **fields)
 
 
-def cmd_cover(args) -> int:
+def cmd_cover(args):
     poset = load_poset(args.poset)
-    covering = build_chain_covering(poset)
-    report = verify_chain_covering(poset, covering)
-    emit(
-        _report(
-            "cover",
-            "pass" if report.holds else "fail",
-            poset=poset.name,
-            **report.to_json(),
-        )
-    )
-    return 0 if report.holds else 1
+    report = verify_chain_covering(poset, build_chain_covering(poset))
+    yield _report("cover", _holds(report.holds), poset=poset.name, **report.to_json())
 
 
-def cmd_suite(args) -> int:
-    failures = 0
-    wanted = args.criterion
-    for idx, fn in enumerate(acceptance.ALL_CRITERIA, start=1):
-        if wanted and idx != wanted:
-            continue
-        result = fn()
-        emit(result.to_json())
-        if not result.passed:
-            failures += 1
-    return 0 if failures == 0 else 1
+def cmd_suite(args):
+    criteria = acceptance.ALL_CRITERIA
+    if args.criterion is not None:
+        if not 1 <= args.criterion <= len(criteria):
+            raise PosetError(
+                f"--criterion must be between 1 and {len(criteria)}, got {args.criterion}"
+            )
+        criteria = [criteria[args.criterion - 1]]
+    for fn in criteria:
+        yield fn().to_json()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,27 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poset", "-p", required=True)
     sp.add_argument("--family", help="ids/labels, @file, or random:n:seed")
     sp.add_argument("--pairs", help="thm5 pair system a:b,c:d")
-    sp.add_argument(
-        "--identity",
-        required=True,
-        choices=["thm1", "keylemma", "cor2", "cor3", "thm5"],
-    )
+    sp.add_argument("--identity", required=True, choices=list(_IDENTITIES))
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--breakdown", action="store_true", help="include per-element terms")
     sp.set_defaults(fn=cmd_az)
 
     sp = sub.add_parser("sperner", help="antichain machinery")
-    sp.add_argument("action", choices=["max", "lym", "strict", "decompose"])
+    sp.add_argument("action", choices=list(_SPERNER_ACTIONS))
     sp.add_argument("--poset", "-p", required=True)
     sp.add_argument("--family")
     sp.add_argument("--k", type=int, default=1)
     sp.set_defaults(fn=cmd_sperner)
 
     sp = sub.add_parser("twopart", help="product-poset machinery")
-    sp.add_argument(
-        "action",
-        choices=["max", "verify-strict", "az", "identity", "lym", "well-paired"],
-    )
+    sp.add_argument("action", choices=list(_TWOPART_ACTIONS))
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--family", help="p:q pairs or @file.json")
@@ -526,13 +463,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    passed = True
     try:
-        return args.fn(args)
+        for report in args.fn(args):
+            emit(report)
+            passed = _passes(report) and passed
     except PosetError as exc:
         emit({"cmd": args.command, "verdict": "error", "error": str(exc)})
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -196,14 +196,15 @@ class RankedPoset:
                         return i, label, level[0], x
         return None
 
-    @cached_property
+    @property
     def is_u_poset(self) -> bool:
-        if self.whitney[0] != 1 or self.whitney[-1] != 1:
-            return False
-        bottom = self.levels[0][0]
-        top = self.levels[-1][0]
-        full = (1 << self.n) - 1
-        return self.up_mask[bottom] == full and self.down_mask[top] == full
+        """A least element at rank 0 and a greatest at the top rank.
+
+        Every cover raises rank by one, so on a graded poset each element lies
+        on a cover path from rank 0 to the top rank, and a lone element at each
+        end bounds everything.  No closure is built.
+        """
+        return self.is_graded and self.whitney[0] == 1 and self.whitney[-1] == 1
 
     # -- basics ------------------------------------------------------------
 

@@ -35,8 +35,7 @@ def _check_dimension(what: str, n: int) -> None:
 
 def gen_boolean(n: int) -> RankedPoset:
     """The Boolean lattice of subsets of {1..n}; rank is cardinality."""
-    if not 0 <= n <= 20:
-        raise SizeLimitError(f"boolean lattice needs 0 <= n <= 20, got {n}")
+    _check_dimension("boolean lattice", n)  # 2^n is the size, so this is the cap check
     size = 1 << n
     elements = [(m, bin(m).count("1")) for m in range(size)]
     covers = []

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import azsperner
+from azsperner import acceptance
 from azsperner.cli import main
 
 
@@ -217,6 +218,16 @@ class TestSperner:
         )
         assert code == 0 and lines[0]["result"] == "2/3"
 
+    def test_decompose_tests_the_family_against_k(self, capsys):
+        argv = ["sperner", "decompose", "--poset", "boolean:3", "--family", "0,1,3", "--k"]
+        code, lines = run_cli(capsys, *argv, "1")
+        assert code == 1
+        assert lines[0]["verdict"] == "fail" and lines[0]["chain"] == [0, 1]
+        assert lines[0]["parts"] == [[0], [1], [3]]
+        code, lines = run_cli(capsys, *argv, "3")
+        assert code == 0
+        assert lines[0]["verdict"] == "pass" and lines[0]["chain"] is None
+
     @pytest.mark.parametrize("spec, k, n", [("boolean:5", "7", 32), ("chains:7,4", "10", 28)])
     def test_strict_k_past_the_levels_is_the_whole_poset(self, capsys, spec, k, n):
         code, lines = run_cli(capsys, "sperner", "strict", "--poset", spec, "--k", k)
@@ -301,6 +312,26 @@ class TestCoverAndSuite:
         assert code == 0
         assert lines[0]["criterion"] == 2 and lines[0]["passed"] is True
 
+    @pytest.mark.parametrize("criterion", ["0", "11"])
+    def test_criterion_outside_the_range_is_an_input_error(self, capsys, monkeypatch, criterion):
+        # stubs that record a run: no criterion may start
+        ran = []
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [lambda i=i: ran.append(i) for i in range(10)])
+        code, lines = run_cli(capsys, "suite", "--criterion", criterion)
+        assert code == 2 and ran == []
+        assert [r["verdict"] for r in lines] == ["error"]
+        assert "between 1 and 10" in lines[0]["error"]
+
+    def test_failing_criterion_streams_and_exits_1(self, capsys, monkeypatch):
+        def criterion(num, passed):
+            return lambda: acceptance.CriterionResult(num, f"stub {num}", passed, {}, 0.0)
+
+        stubs = [criterion(1, True), criterion(2, False), criterion(3, True)]
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", stubs)
+        code, lines = run_cli(capsys, "suite")
+        assert code == 1
+        assert [(r["criterion"], r["passed"]) for r in lines] == [(1, True), (2, False), (3, True)]
+
     def test_bad_spec_is_usage_error(self, capsys):
         code, lines = run_cli(capsys, "gen", "--poset", "nope:1")
         assert code == 2 and lines[0]["verdict"] == "error"
@@ -371,6 +402,58 @@ class TestInputErrors:
         assert len(detailed[0]["breakdown"]["terms"]) == 8
 
 
+NON_NORMAL_5 = {
+    "name": "non-normal-5",
+    "elements": [{"id": i, "rank": r} for i, r in enumerate([0, 0, 1, 1, 1])],
+    "covers": [[0, 2], [0, 3], [0, 4], [1, 4]],
+}
+
+# one passing and one failing or deviating call per subcommand where both
+# exist, and input errors, with the exit code each must give; {tmp} is a
+# scratch directory
+CONTRACT_CALLS = [
+    (0, ["gen", "--poset", "boolean:3"]),
+    (2, ["gen", "--poset", "nope:1"]),
+    (0, ["export", "--poset", "fig1a", "--json", "{tmp}/fig1a.json"]),
+    (2, ["export", "--poset", "@{tmp}/absent.json", "--json", "{tmp}/out.json"]),
+    (0, ["check", "--poset", "boolean:3", "--property", "regular"]),
+    (1, ["check", "--poset", "fig1a", "--property", "regular"]),
+    (0, ["az", "verify", "--poset", "boolean:4", "--family", "random:5:42", "--identity", "thm1"]),
+    (1, ["az", "verify", "--poset", "fig1a", "--family", "a,c", "--identity", "thm1"]),
+    (2, ["az", "verify", "--poset", "boolean:3", "--identity", "thm5"]),
+    (0, ["sperner", "strict", "--poset", "boolean:3", "--k", "1"]),
+    (1, ["sperner", "strict", "--poset", "fig1a", "--k", "1"]),
+    (1, ["sperner", "decompose", "--poset", "boolean:3", "--family", "0,1,3,7", "--k", "1"]),
+    (2, ["sperner", "lym", "--poset", "boolean:3"]),
+    (0, ["twopart", "verify-strict", "--p", "boolean:2", "--q", "chains:3"]),
+    (1, ["twopart", "verify-strict", "--p", "boolean:2", "--q", "chains:4"]),
+    (0, ["twopart", "identity", "--p", "boolean:1", "--q", "boolean:1", "--family", "0:0,1:1"]),
+    (1, ["twopart", "az", "--p", "fig1a", "--q", "boolean:1", "--family", "0:0,1:0,2:1,3:0,4:1,5:1"]),
+    (2, ["twopart", "az", "--p", "boolean:2", "--q", "boolean:2", "--family", "0:0"]),
+    (0, ["cover", "--poset", "fig1a"]),
+    (2, ["cover", "--poset", "@{tmp}/non-normal-5.json"]),
+    (0, ["suite", "--criterion", "2"]),
+    (2, ["suite", "--criterion", "11"]),
+]
+
+
+@pytest.mark.parametrize(
+    "code, argv", CONTRACT_CALLS, ids=[f"{argv[0]}-{code}" for code, argv in CONTRACT_CALLS]
+)
+def test_exit_code_follows_the_reports(capsys, tmp_path, code, argv):
+    # 2 with an error report; otherwise 0 iff every report passes
+    (tmp_path / "non-normal-5.json").write_text(json.dumps(NON_NORMAL_5))
+    got, lines = run_cli(capsys, *[arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert lines
+    if any(r.get("verdict") == "error" for r in lines):
+        derived = 2
+    elif all(r.get("verdict") == "pass" or r.get("passed") is True for r in lines):
+        derived = 0
+    else:
+        derived = 1
+    assert got == derived == code
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -400,6 +483,7 @@ def test_runs_without_scipy_or_numpy(argv):
 # every generator head past its cap, a deep q-binomial under trunc(), sizes
 # past the 4,300 digits that str() converts, and negative dimensions
 OVER_CAP_SPECS = [
+    "boolean:17",
     "boolean:21",
     "chains:1000,1000",
     "star:9,9",

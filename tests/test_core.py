@@ -1,8 +1,10 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from azsperner import boundary_chain_fractions, build_poset, from_json
+from azsperner import boundary_chain_fractions, build_poset, from_json, gen_boolean
 from azsperner.core import family
 from azsperner.errors import (
     ChainLimitError,
@@ -55,6 +57,39 @@ class TestBuildPoset:
         assert not p.is_graded
         with pytest.raises(NotGradedError):
             p.count_maximal_chains()
+
+
+class TestUPoset:
+    """A least and a greatest element, read off the Whitney numbers of a graded poset."""
+
+    def test_agrees_with_the_closure_definition(self):
+        # random ranked posets, graded or not, some with empty levels; the
+        # definition: an element of rank 0 below everything and one of the top
+        # rank above everything
+        rng = random.Random(14)
+        seen = Counter()
+        for _ in range(3000):
+            ranks = [rng.randrange(4) for _ in range(rng.randrange(1, 8))]
+            covers = [
+                (lo, hi)
+                for lo in range(len(ranks))
+                for hi in range(len(ranks))
+                if ranks[hi] == ranks[lo] + 1 and rng.random() < 0.7
+            ]
+            p = build_poset(list(enumerate(ranks)), covers)
+            u_poset = p.is_u_poset
+            full = (1 << p.n) - 1
+            bounded = any(p.up_mask[x] == full for x in p.levels[0]) and any(
+                p.down_mask[x] == full for x in p.levels[-1]
+            )
+            assert u_poset == bounded, (ranks, covers)
+            seen[p.is_graded, u_poset] += 1
+        assert seen[True, True] > 100 and seen[True, False] > 100 and seen[False, False] > 100
+
+    def test_builds_no_closure(self):
+        for p in (gen_boolean(6), build_poset([(0, 0), (1, 1), (2, 1)], [(0, 1)])):
+            p.is_u_poset
+            assert "up_mask" not in p.__dict__ and "down_mask" not in p.__dict__
 
 
 class TestGamma:
