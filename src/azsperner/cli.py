@@ -202,12 +202,15 @@ def cmd_gen(args):
 def cmd_export(args):
     poset = load_poset(args.poset)
     wrote = []
-    if args.dot:
-        Path(args.dot).write_text(poset.to_dot())
-        wrote.append(args.dot)
-    if args.json:
-        Path(args.json).write_text(poset.to_json_str(indent=2))
-        wrote.append(args.json)
+    try:
+        if args.dot:
+            Path(args.dot).write_text(poset.to_dot())
+            wrote.append(args.dot)
+        if args.json:
+            Path(args.json).write_text(poset.to_json_str(indent=2))
+            wrote.append(args.json)
+    except OSError as exc:
+        raise PosetError(f"cannot write file {exc.filename!r}: {exc.strerror or exc}") from None
     if wrote:
         yield _report("export", "pass", poset=poset.name, wrote=wrote)
     else:

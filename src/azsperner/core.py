@@ -330,14 +330,11 @@ class RankedPoset:
         """Per element: saturated chains reaching it from level 0, and from it to the top."""
         return self._chain_dp
 
-    def enumerate_maximal_chains(self, limit: int = CHAIN_ENUM_CAP) -> list[tuple[int, ...]]:
-        """List every maximal chain as a bottom-to-top id tuple (capped)."""
-        if not self.is_graded:
-            raise NotGradedError(f"{self.name} is not graded")
-        if self.count_maximal_chains().total > limit:
-            raise ChainLimitError(
-                f"{self.name} has {self.count_maximal_chains().total} maximal chains (> {limit})"
-            )
+    def enumerate_maximal_chains(self) -> list[tuple[int, ...]]:
+        """List every maximal chain as a bottom-to-top id tuple, at most CHAIN_ENUM_CAP."""
+        total = self.count_maximal_chains().total
+        if total > CHAIN_ENUM_CAP:
+            raise ChainLimitError(f"{self.name} has {total} maximal chains (> {CHAIN_ENUM_CAP})")
         chains: list[tuple[int, ...]] = []
         for bottom in self.levels[0]:
             if not self.up_adj[bottom]:

@@ -56,7 +56,7 @@ class NotStronglyRegularError(PosetError):
 
 
 class ChainLimitError(PosetError):
-    """Maximal-chain enumeration would exceed the requested cap."""
+    """Maximal-chain enumeration would exceed CHAIN_ENUM_CAP."""
 
 
 class NotAntichainError(PosetError):

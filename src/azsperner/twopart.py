@@ -125,6 +125,13 @@ def two_part_az_sum(
     return TwoPartAZReport(total=total, per_element=per)
 
 
+def _lym_sum(p: RankedPoset, q: RankedPoset, fam: Iterable[tuple[int, int]]) -> Fraction:
+    """Sum of 1/(N1_rank N2_rank) over the pairs."""
+    return sum(
+        (Fraction(1, p.whitney[p.ranks[a]] * q.whitney[q.ranks[b]]) for a, b in fam), Fraction(0)
+    )
+
+
 def two_part_sperner_identity(
     p: RankedPoset, q: RankedPoset, fam: Iterable[tuple[int, int]]
 ) -> tuple[Fraction, Fraction]:
@@ -136,23 +143,14 @@ def two_part_sperner_identity(
     """
     fam = _validate_pairs(p, q, fam)
     if q.height > p.height:
-        swapped = frozenset((b, a) for a, b in fam)
-        lym, rem = two_part_sperner_identity(q, p, swapped)
-        return lym, rem
+        return two_part_sperner_identity(q, p, frozenset((b, a) for a, b in fam))
     # the split only needs each slice A(y) to be an antichain (true in
     # particular for every 2-part Sperner family)
     for y, slice_a in slices_by_q(q, fam).items():
         if not p.is_antichain(slice_a):
             raise NotTwoPartSpernerError(f"slice at {y} contains comparable elements")
-    report = two_part_az_sum(p, q, fam)
-    lym = sum(
-        (
-            Fraction(1, p.whitney[p.ranks[a]] * q.whitney[q.ranks[b]])
-            for a, b in fam
-        ),
-        Fraction(0),
-    )
-    return lym, report.total - lym
+    lym = _lym_sum(p, q, fam)
+    return lym, two_part_az_sum(p, q, fam).total - lym
 
 
 def two_part_lym(
@@ -166,13 +164,7 @@ def two_part_lym(
     ok, pair = is_two_part_sperner(p, q, fam)
     if not ok:
         raise NotTwoPartSpernerError(f"violating pair {pair}")
-    return sum(
-        (
-            Fraction(1, p.whitney[p.ranks[a]] * q.whitney[q.ranks[b]])
-            for a, b in fam
-        ),
-        Fraction(0),
-    )
+    return _lym_sum(p, q, fam)
 
 
 # -- transversals ----------------------------------------------------------

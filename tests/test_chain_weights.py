@@ -17,10 +17,11 @@ from azsperner import (
     gen_boolean,
     gen_chain_product,
     max_two_part_sperner_exact,
+    parse_poset_spec,
     product_covering_report,
 )
 from azsperner.acceptance import _criterion_8_products
-from azsperner.errors import ChainLimitError, NotNormalError
+from azsperner.errors import NotGradedError, NotNormalError
 from azsperner.properties import (
     ChainCovering,
     CoveringReport,
@@ -31,7 +32,7 @@ from azsperner.twopart import ChainPairReport
 from test_invariants import graded_posets
 
 
-def reference_verify(poset, covering, limit=100_000):
+def reference_verify(poset, covering):
     """Marginals summed as Fractions; every chain weighed by chain_weight."""
     violations = []
     marginals_ok = True
@@ -50,13 +51,10 @@ def reference_verify(poset, covering, limit=100_000):
             if col != Fraction(1, poset.whitney[i + 1]):
                 marginals_ok = False
                 violations.append(f"column sum at element {y}")
-    total = poset.count_maximal_chains().total
-    if total > limit:
-        raise ChainLimitError(f"{total} maximal chains exceed the cap {limit}")
     chains_ok = True
     mass = Fraction(0)
     per_element = [Fraction(0)] * poset.n
-    for chain in poset.enumerate_maximal_chains(limit):
+    for chain in poset.enumerate_maximal_chains():
         w = covering.chain_weight(chain)
         mass += w
         for x in chain:
@@ -151,6 +149,16 @@ def test_report_equals_reference(covering):
     assert verify_chain_covering(poset, covering) == reference_verify(poset, covering)
 
 
+@pytest.mark.parametrize(
+    "spec", ["affine:3,3", "trunc(subspace:4,3,1,3)", "divisor:5040", "chains:5,4"]
+)
+def test_named_posets_equal_reference(spec):
+    poset = parse_poset_spec(spec)
+    covering = build_chain_covering(poset)
+    for cov in (covering, spoil(covering)):
+        assert verify_chain_covering(poset, cov) == reference_verify(poset, cov)
+
+
 @given(graded_posets())
 @settings(max_examples=40, deadline=None)
 def test_integer_weights_are_chain_weights(poset):
@@ -174,9 +182,28 @@ class TestEdgeCases:
         report = verify_chain_covering(poset, build_chain_covering(poset))
         assert report.holds and report.total == 1
 
-    def test_chain_cap_still_raises(self, b4):
-        with pytest.raises(ChainLimitError, match="exceed the cap"):
-            verify_chain_covering(b4, build_chain_covering(b4), limit=3)
+    @pytest.mark.parametrize("spec", ["boolean:12", "subspace:5,3", "chains:6,6,6"])
+    def test_past_the_chain_enumeration_cap(self, spec):
+        # 479,001,600, 251,680 and 756,756 maximal chains
+        poset = parse_poset_spec(spec)
+        report = verify_chain_covering(poset, build_chain_covering(poset))
+        assert report.holds and report.total == 1 and not report.violations
+
+    def test_negated_edge_past_the_cap(self):
+        poset = gen_chain_product([6, 6, 6])
+        g = dict(build_chain_covering(poset).g)
+        edge = min(g)
+        g[edge] = -g[edge]
+        report = verify_chain_covering(poset, ChainCovering(poset=poset, g=g))
+        assert not report.chains_ok
+        assert any(v.startswith("element mass at") for v in report.violations)
+
+    def test_not_graded_is_refused(self):
+        # element 1 is minimal and maximal below the top rank
+        poset = build_poset([(0, 0), (1, 0), (2, 1)], [(0, 2)])
+        covering = ChainCovering(poset=poset, g={(0, 2): Fraction(1, 2)})
+        with pytest.raises(NotGradedError):
+            verify_chain_covering(poset, covering)
 
     def test_int_weights(self):
         # g may hold ints: a two-element chain with g = 1

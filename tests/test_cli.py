@@ -38,6 +38,14 @@ class TestGenExport:
         code, lines = run_cli(capsys, "gen", "--poset", f"@{path}")
         assert code == 0 and lines[0]["elements"] == 6
 
+    @pytest.mark.parametrize("flag, target", [("--dot", "absent-dir/x.dot"), ("--json", "")])
+    def test_unwritable_path_is_input_error(self, capsys, tmp_path, flag, target):
+        # a file under a missing directory, and the directory tmp_path itself
+        path = tmp_path / target
+        code, lines = run_cli(capsys, "export", "--poset", "fig1a", flag, str(path))
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert str(path) in lines[0]["error"]
+
 
 class TestCheck:
     def test_fig1a_regular_fails_with_rank2_witness(self, capsys):
@@ -305,6 +313,11 @@ class TestTwoPart:
 class TestCoverAndSuite:
     def test_cover(self, capsys):
         code, lines = run_cli(capsys, "cover", "--poset", "fig1a")
+        assert code == 0 and lines[0]["holds"] is True
+
+    def test_cover_past_the_chain_enumeration_cap(self, capsys):
+        # boolean:12 has 12! maximal chains
+        code, lines = run_cli(capsys, "cover", "--poset", "boolean:12")
         assert code == 0 and lines[0]["holds"] is True
 
     def test_suite_single_criterion(self, capsys):

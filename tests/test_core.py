@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import azsperner.core
 from azsperner import boundary_chain_fractions, build_poset, from_json, gen_boolean
 from azsperner.core import family
 from azsperner.errors import (
@@ -180,9 +181,10 @@ class TestChains:
         assert len(chains) == b4.count_maximal_chains().total
         assert all(len(c) == b4.height + 1 for c in chains)
 
-    def test_chain_limit(self, b4):
+    def test_chain_limit(self, b4, monkeypatch):
+        monkeypatch.setattr(azsperner.core, "CHAIN_ENUM_CAP", 3)
         with pytest.raises(ChainLimitError):
-            b4.enumerate_maximal_chains(limit=3)
+            b4.enumerate_maximal_chains()
 
     def test_is_maximal_chain(self, b3):
         chains = b3.enumerate_maximal_chains()
