@@ -67,6 +67,8 @@ def compute_w(poset: RankedPoset, fam: Iterable[int], x: int) -> int:
     """W_A(x): lower covers of x not above any member of A^x = {a in A : a <= x}.
 
     Zero when A^x is empty.  For x in an antichain A this equals d-(x).
+    The identity kernels compute W for every x at once; this is the paper's
+    single-element W_A(x), as the README documents it.
     """
     up = poset.upset_mask(family(poset, fam))
     (x,) = family(poset, [x])

@@ -207,7 +207,7 @@ def cmd_export(args):
             Path(args.dot).write_text(poset.to_dot())
             wrote.append(args.dot)
         if args.json:
-            Path(args.json).write_text(poset.to_json_str(indent=2))
+            Path(args.json).write_text(json.dumps(poset.to_json(), indent=2))
             wrote.append(args.json)
     except OSError as exc:
         raise PosetError(f"cannot write file {exc.filename!r}: {exc.strerror or exc}") from None
@@ -229,9 +229,7 @@ _PROPERTY_CHECKS = {
 def cmd_check(args):
     poset = load_poset(args.poset)
     result = _PROPERTY_CHECKS[args.property](poset, args.mode)
-    obj = result.to_json()
-    obj.pop("table", None)
-    yield _report("check", _holds(result.holds), poset=poset.name, **obj)
+    yield _report("check", _holds(result.holds), poset=poset.name, **result.to_json())
 
 
 def _thm5(poset, args):

@@ -53,9 +53,6 @@ class ChainCounts:
     total: int
     through: tuple[int, ...]
 
-    def through_level_sum(self, poset: "RankedPoset", i: int) -> int:
-        return sum(self.through[x] for x in poset.levels[i])
-
 
 class RankedPoset:
     """A finite poset with explicit ranks, represented by its cover relation.
@@ -74,7 +71,6 @@ class RankedPoset:
         ranks: Sequence[int],
         covers: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
-        meta: dict | None = None,
     ):
         n = len(ranks)
         if n == 0:
@@ -87,7 +83,6 @@ class RankedPoset:
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise PosetError("labels length must match element count")
-        self.meta = dict(meta) if meta else {}
 
         cover_set = set()
         for lo, hi in covers:
@@ -132,6 +127,7 @@ class RankedPoset:
 
     @cached_property
     def up_cover_mask(self) -> tuple[int, ...]:
+        """Upper covers as bitmasks; perfbench's warm-up reads it beside down_cover_mask."""
         return tuple(_mask_of(a) for a in self.up_adj)
 
     @cached_property
@@ -213,9 +209,6 @@ class RankedPoset:
 
     def __repr__(self) -> str:
         return f"RankedPoset({self.name!r}, n={self.n}, whitney={list(self.whitney)})"
-
-    def elements(self) -> range:
-        return range(self.n)
 
     def label(self, x: int) -> str:
         return self.labels[element_id(self, x)]
@@ -327,7 +320,10 @@ class RankedPoset:
         return ChainCounts(total=total, through=through)
 
     def chains_below_above(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per element: saturated chains reaching it from level 0, and from it to the top."""
+        """Per element: saturated chains reaching it from level 0, and from it to the top.
+
+        The chain-crossing oracle `az.boundary_chain_fractions` reads them.
+        """
         return self._chain_dp
 
     def enumerate_maximal_chains(self) -> list[tuple[int, ...]]:
@@ -391,9 +387,6 @@ class RankedPoset:
             obj["labels"] = list(self.labels)
         return obj
 
-    def to_json_str(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json(), indent=indent)
-
     def to_dot(self) -> str:
         """Hasse diagram in DOT, one rank per layer."""
         lines = [f'digraph "{self.name}" {{', "  rankdir=BT;", "  node [shape=circle];"]
@@ -413,7 +406,6 @@ def build_poset(
     covers: Iterable[tuple[int, int]],
     name: str = "poset",
     labels: Sequence[str] | None = None,
-    meta: dict | None = None,
 ) -> RankedPoset:
     """Validate and construct a RankedPoset from (id, rank) pairs and cover edges.
 
@@ -430,7 +422,7 @@ def build_poset(
     ranks = [0] * len(ids)
     for i, r in pairs:
         ranks[i] = r
-    return RankedPoset(name=name, ranks=ranks, covers=covers, labels=labels, meta=meta)
+    return RankedPoset(name=name, ranks=ranks, covers=covers, labels=labels)
 
 
 def _json_field(obj, key: str, kind: type, where: str):

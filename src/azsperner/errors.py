@@ -82,9 +82,9 @@ class IntervalOverlapError(PosetError):
 class EmptySliceError(PosetError):
     """A product family has an empty slice A(y)."""
 
-    def __init__(self, y, message=None):
+    def __init__(self, y):
         self.y = y
-        super().__init__(message or f"family slice at element {y} is empty")
+        super().__init__(f"family slice at element {y} is empty")
 
 
 class NotTwoPartSpernerError(PosetError):

@@ -75,8 +75,7 @@ def gen_star_power(k: int, n: int) -> RankedPoset:
 def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
     """Product of chains with the given (non-increasing) element counts.
 
-    Rank is the coordinate sum.  meta["strict_normal_expected"] records the
-    sufficient condition k_2 + ... + k_n >= k_1 for strict normality.
+    Rank is the coordinate sum.
     """
     sizes = tuple(sizes)
     if not sizes or any(s < 1 for s in sizes):
@@ -96,10 +95,7 @@ def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
                 upper = t[:j] + (c + 1,) + t[j + 1 :]
                 covers.append((i, index[upper]))
     labels = ["(" + ",".join(map(str, t)) + ")" for t in tuples]
-    meta = {"strict_normal_expected": sum(sizes[1:]) >= sizes[0]}
-    return build_poset(
-        elements, covers, name="chains:" + ",".join(map(str, sizes)), labels=labels, meta=meta
-    )
+    return build_poset(elements, covers, name="chains:" + ",".join(map(str, sizes)), labels=labels)
 
 
 def _factorize(m: int) -> list[tuple[int, int]]:
@@ -398,22 +394,20 @@ def parse_poset_spec(spec: str) -> RankedPoset:
         return truncate(parse_poset_spec(",".join(inner[:-2])), lo, hi)
     if spec.startswith("prod(") and spec.endswith(")"):
         inner = split_top_level(spec[len("prod(") : -1])
-        # the second factor starts at a token that is not an integer argument
+        # each factor spec is one token that is not an integer, then its
+        # integer arguments, so the second factor starts at the only such token
         cuts = [cut for cut in range(1, len(inner)) if not _is_int(inner[cut])]
-        failure = None
-        for cut in cuts:
-            factors = []
-            for part in (",".join(inner[:cut]), ",".join(inner[cut:])):
-                try:
-                    factors.append(parse_poset_spec(part))
-                except PosetError as exc:
-                    failure = failure or f"factor {part.strip()!r}: {exc}"
-                    break
-            else:
-                return product(*factors)
-        raise PosetError(
-            f"cannot split product spec {spec!r}: {failure or 'it needs two factor specs'}"
-        )
+        if len(cuts) != 1:
+            raise PosetError(f"cannot split product spec {spec!r}: it needs two factor specs")
+        factors = []
+        for part in (",".join(inner[: cuts[0]]), ",".join(inner[cuts[0] :])):
+            try:
+                factors.append(parse_poset_spec(part))
+            except PosetError as exc:
+                raise PosetError(
+                    f"cannot split product spec {spec!r}: factor {part.strip()!r}: {exc}"
+                ) from None
+        return product(*factors)
     if ":" not in spec:
         raise PosetError(f"unrecognized poset spec {spec!r}")
     kind, _, argstr = spec.partition(":")

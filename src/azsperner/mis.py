@@ -82,10 +82,9 @@ class MaxIndependentSet:
         self._search(0, 0, (1 << self.n) - 1)
         return self.floor, self.best_mask
 
-    def enumerate(self, target: int | None = None) -> tuple[int, list[int]]:
+    def enumerate(self) -> tuple[int, list[int]]:
         """(maximum size, every maximum independent set as bitmasks, ascending)."""
-        if target is None:
-            target, _ = self.run()
+        target, _ = self.run()
         self.found = []
         # every set of `target` vertices beats target - 1
         self.floor = target - 1

@@ -18,6 +18,8 @@ from .errors import (
     LevelTooLargeError,
     NotGradedError,
     NotNormalError,
+    NotRegularError,
+    NotStronglyRegularError,
     NotUPosetError,
 )
 from .flows import matching_min_cut_side, transportation
@@ -71,6 +73,14 @@ def _require_graded(poset: RankedPoset) -> None:
 # -- regularity ----------------------------------------------------------------
 
 
+def _level_degrees(poset: RankedPoset) -> tuple[list[int], list[int]]:
+    """(d_minus, d_plus) of the first element of each level."""
+    return (
+        [len(poset.down_adj[level[0]]) for level in poset.levels],
+        [len(poset.up_adj[level[0]]) for level in poset.levels],
+    )
+
+
 def check_regular(poset: RankedPoset) -> CheckResult:
     """Down- and up-degrees must depend only on the rank.
 
@@ -83,22 +93,16 @@ def check_regular(poset: RankedPoset) -> CheckResult:
         return CheckResult(
             "regular", False, witness=(ref, x), detail={"rank": i, "degree": label}
         )
-    profile = {
-        "d_minus": [len(poset.down_adj[level[0]]) for level in poset.levels],
-        "d_plus": [len(poset.up_adj[level[0]]) for level in poset.levels],
-    }
-    return CheckResult("regular", True, detail={"profile": profile})
+    d_minus, d_plus = _level_degrees(poset)
+    return CheckResult("regular", True, detail={"profile": {"d_minus": d_minus, "d_plus": d_plus}})
 
 
 def degree_profile(poset: RankedPoset) -> tuple[list[int], list[int]]:
     """(d_minus, d_plus) per rank; raises if the poset is not regular."""
-    res = check_regular(poset)
-    if not res.holds:
-        from .errors import NotRegularError
-
+    _require_graded(poset)
+    if poset.irregular_pair is not None:
         raise NotRegularError(f"{poset.name} is not regular")
-    prof = res.detail["profile"]
-    return prof["d_minus"], prof["d_plus"]
+    return _level_degrees(poset)
 
 
 # -- normality ----------------------------------------------------------------
@@ -229,12 +233,11 @@ def check_strictly_normal(poset: RankedPoset) -> CheckResult:
     return CheckResult("strictly-normal", True, detail={"method": "enumeration"})
 
 
-def check_strongly_regular(poset: RankedPoset) -> CheckResult:
-    """Interval level-counts must depend only on (i, r(a), r(b)).
-
-    On success the detail carries the full lambda table; a failure witness is
-    a pair of comparable pairs whose intervals disagree at some level.
-    """
+def _strongly_regular_scan(
+    poset: RankedPoset,
+) -> tuple[LambdaTable | None, tuple[tuple[int, ...], tuple[int, int, int]] | None]:
+    """(the lambda table, None), or (None, ((a0, b0, a, b), (i, k, l))) for the
+    first two comparable pairs whose intervals disagree at level i."""
     if not poset.is_u_poset:
         raise NotUPosetError(f"{poset.name} is not a U-poset")
     entries: dict[tuple[int, int, int], int] = {}
@@ -256,28 +259,32 @@ def check_strongly_regular(poset: RankedPoset) -> CheckResult:
                     entries[key] = count
                     origin[key] = (a, b)
                 elif entries[key] != count:
-                    a0, b0 = origin[key]
-                    return CheckResult(
-                        "strongly-regular",
-                        False,
-                        witness=(a0, b0, a, b),
-                        detail={"triple": list(key)},
-                    )
-    table = LambdaTable(height=poset.height, entries=entries)
-    return CheckResult(
-        "strongly-regular",
-        True,
-        detail={"lambda_table": table.to_json(), "table": table},
-    )
+                    return None, ((*origin[key], a, b), key)
+    return LambdaTable(height=poset.height, entries=entries), None
+
+
+def check_strongly_regular(poset: RankedPoset) -> CheckResult:
+    """Interval level-counts must depend only on (i, r(a), r(b)).
+
+    On success the detail carries the full lambda table as JSON; a failure
+    witness is a pair of comparable pairs whose intervals disagree at some
+    level.
+    """
+    table, bad = _strongly_regular_scan(poset)
+    if bad is not None:
+        witness, triple = bad
+        return CheckResult(
+            "strongly-regular", False, witness=witness, detail={"triple": list(triple)}
+        )
+    return CheckResult("strongly-regular", True, detail={"lambda_table": table.to_json()})
 
 
 def lambda_table(poset: RankedPoset) -> LambdaTable:
-    res = check_strongly_regular(poset)
-    if not res.holds:
-        from .errors import NotStronglyRegularError
-
+    """The lambda table of a strongly regular U-poset; raises on any other."""
+    table, _ = _strongly_regular_scan(poset)
+    if table is None:
         raise NotStronglyRegularError(f"{poset.name} is not strongly regular")
-    return res.detail["table"]
+    return table
 
 
 # -- chain coverings ----------------------------------------------------------------

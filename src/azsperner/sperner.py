@@ -73,7 +73,8 @@ def _depth_layers(poset: RankedPoset, fam: Iterable[int]) -> list[list[int]]:
 
 def longest_chain_in(poset: RankedPoset, fam: Iterable[int]) -> list[int]:
     """A longest chain inside the family, bottom to top: from the first member
-    of the deepest layer, each step down takes the first member below it."""
+    of the deepest layer, each step down takes the first member below it.
+    `is_k_sperner` returns its first k + 1 members as the witness."""
     layers = _depth_layers(poset, fam)
     if not layers:
         return []
@@ -219,7 +220,11 @@ class _KSpernerSearch:
 
 
 def max_k_sperner_size(poset: RankedPoset, k: int) -> int:
-    """Exact maximum size of a k-Sperner family (elements capped at 24)."""
+    """Exact maximum size of a k-Sperner family (elements capped at 24).
+
+    The size-only search, without the enumeration pass of
+    `enumerate_maximum_k_sperner`; perfbench's tracer resolves it by name.
+    """
     if poset.n > EXHAUSTIVE_CAP:
         raise SizeLimitError(f"{poset.n} elements exceed the cap {EXHAUSTIVE_CAP}")
     size, _ = _KSpernerSearch(poset, k).run()
@@ -366,20 +371,20 @@ class StrictLymVerdict:
         }
 
 
-def check_strict_lym(
-    poset: RankedPoset, fam: Iterable[int], k: int, check_poset: bool = True
-) -> StrictLymVerdict:
+def check_strict_lym(poset: RankedPoset, fam: Iterable[int], k: int) -> StrictLymVerdict:
     """Strict k-LYM: if the LYM sum of a k-Sperner family reaches k exactly,
     the family must be a union of complete levels.
 
     A family reaching k without being homogeneous is returned as a
     counterexample witness (none is expected on strictly normal posets).
+    No package code calls it: it states the paper's strict LYM result for
+    one family, beside the whole-poset verdict of `check_strict_k_sperner`.
     """
     fam = frozenset(fam)
     ok, chain = is_k_sperner(poset, fam, k)
     if not ok:
         raise NotKSpernerError(f"family contains a {len(chain)}-chain")
-    if check_poset and not check_strictly_normal(poset).holds:
+    if not check_strictly_normal(poset).holds:
         raise NotStrictlyNormalError(f"{poset.name} is not strictly normal")
     total = lym_sum(poset, fam)
     if total < k:

@@ -321,15 +321,6 @@ def _level_blocks(p: RankedPoset, q: RankedPoset) -> list[int]:
     return [b for s in spreads for q_mask in q.level_mask if (b := s * q_mask) & (b - 1)]
 
 
-def is_homogeneous_product(
-    p: RankedPoset, q: RankedPoset, fam: Iterable[tuple[int, int]]
-) -> bool:
-    """True iff the family is a union of complete level products P_i x Q_j."""
-    fam = _validate_pairs(p, q, fam)
-    seen = {(p.ranks[a], q.ranks[b]) for a, b in fam}
-    return sum(p.whitney[i] * q.whitney[j] for i, j in seen) == len(fam)
-
-
 @dataclass(frozen=True)
 class StrictTwoPartResult:
     holds: bool
@@ -435,7 +426,12 @@ def chain_pair_bound(
     chain1: Iterable[int],
     chain2: Iterable[int],
 ) -> int:
-    """|F intersect (C1 x C2)| for maximal chains; at most min(r(P), r(Q)) + 1."""
+    """|F intersect (C1 x C2)| for maximal chains; at most min(r(P), r(Q)) + 1.
+
+    No package code calls it: it states the paper's bound for one chain pair,
+    which `product_covering_report` checks with equality on every pair of
+    positive weight.
+    """
     fam = _validate_pairs(p, q, fam)
     chain1 = tuple(chain1)
     chain2 = tuple(chain2)

@@ -1,4 +1,4 @@
-"""Acceptance criteria, one test per criterion; each prints its pass/fail line."""
+"""Acceptance criteria, one test per criterion; each prints its JSON report."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from azsperner import acceptance
 )
 def test_criterion(criterion):
     result = criterion()
-    print(result.line())
+    print(result.to_json())
     assert result.passed, result.detail
 
 
@@ -20,6 +20,6 @@ def test_runtime_targets():
     targets = {1: 60.0, 8: 120.0}
     for num, limit in targets.items():
         result = acceptance.ALL_CRITERIA[num - 1]()
-        print(result.line())
+        print(result.to_json())
         assert result.passed
         assert result.seconds < limit

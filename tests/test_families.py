@@ -152,7 +152,9 @@ class TestChainProduct:
         assert list(gen_chain_product([3, 2]).whitney) == [1, 2, 2, 1]
 
     def test_c322_condition_and_properties(self, c322):
-        assert c322.meta["strict_normal_expected"] is True
+        # k_2 + ... + k_n >= k_1, the sufficient condition for strict normality
+        sizes = (3, 2, 2)
+        assert sum(sizes[1:]) >= sizes[0]
         assert not check_regular(c322).holds
         assert check_strictly_normal(c322).holds
 
@@ -313,6 +315,9 @@ class TestSpecParser:
     def test_product_needs_two_factors(self):
         with pytest.raises(PosetError, match="needs two factor specs"):
             parse_poset_spec("prod(boolean:2)")
+        # three factor specs: no single cut splits them
+        with pytest.raises(PosetError, match="needs two factor specs"):
+            parse_poset_spec("prod(boolean:1,boolean:1,boolean:1)")
 
     @pytest.mark.parametrize(
         "spec", ["subspace:2000,2", "affine:3103,3", "trunc(subspace:1200,2,0,1)", "star:2,10000"]

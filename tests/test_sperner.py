@@ -391,6 +391,6 @@ class TestStrictLym:
             ok, _ = is_k_sperner(poset, fam, k)
             if not ok:
                 continue
-            verdict = check_strict_lym(poset, fam, k, check_poset=False)
+            verdict = check_strict_lym(poset, fam, k)
             assert verdict.verdict != "counterexample"
             assert verdict.verdict != "exceeds-k"
