@@ -10,8 +10,9 @@ All arithmetic is in Fraction; verdicts are equalities, never tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .core import RankedPoset, build_poset, family
@@ -77,7 +78,8 @@ def compute_w(poset: RankedPoset, fam: Iterable[int], x: int) -> int:
 
 
 class AZTerm(NamedTuple):
-    """One element's identity term: a light immutable record, built n times per sum."""
+    """One element's identity term: a light immutable record, built only when
+    AZReport.terms is first read."""
 
     element: int
     w: int
@@ -99,8 +101,45 @@ class AZTerm(NamedTuple):
 
 @dataclass(frozen=True)
 class AZReport:
+    """The exact identity total, and what the per-element terms are built from.
+
+    A verdict reads only total; terms are built on first read and cached.
+    Equality and hashing go by (total, terms).
+    """
+
     total: Fraction
-    terms: tuple[AZTerm, ...]
+    poset: RankedPoset = field(repr=False)
+    family: frozenset[int] = field(repr=False)
+    upset: int = field(repr=False)
+    w_of: dict[int, int] = field(repr=False)  # {x: W(x)} for the x with W(x) > 0
+
+    @cached_property
+    def terms(self) -> tuple[AZTerm, ...]:
+        poset, ids, w_of = self.poset, self.family, self.w_of
+        (bottom,) = poset.levels[0]
+        bottom_in = bottom in ids
+        # terms share one Fraction per distinct (w, denominator); in_up[x] is bit x of U(A)
+        denominators = poset.identity_denominator
+        shared = {key: Fraction(*key) for key in {(w, denominators[x]) for x, w in w_of.items()}}
+        zero = Fraction(0)
+        in_up = format(self.upset, f"0{poset.n}b")[::-1]
+        # tuple.__new__ skips the NamedTuple's Python-level constructor, half the loop's cost
+        new = tuple.__new__
+        terms = []
+        for x in range(poset.n):
+            w = w_of.get(x, 0)
+            term = shared[w, denominators[x]] if w else zero
+            terms.append(new(AZTerm, (x, w, term, False, x in ids, in_up[x] == "1")))
+        terms[bottom] = AZTerm(bottom, 0, Fraction(int(bottom_in)), bottom_in, bottom_in, bottom_in)
+        return tuple(terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, AZReport):
+            return NotImplemented
+        return (self.total, self.terms) == (other.total, other.terms)
+
+    def __hash__(self):
+        return hash((self.total, self.terms))
 
     def to_json(self) -> dict:
         return {
@@ -116,7 +155,8 @@ def az_identity_sum(poset: RankedPoset, fam: Iterable[int]) -> AZReport:
     the lower degree vanish).  On a regular U-poset the total is exactly 1;
     for irregular posets the raw sum is still returned so deviations can be
     reported.  Each element's own lower degree is used, which coincides with
-    the rank degree on regular posets.
+    the rank degree on regular posets.  Only the total is computed here; the
+    report builds its per-element terms when they are first read.
     """
     if not poset.is_u_poset:
         raise NotUPosetError(f"{poset.name} is not a U-poset")
@@ -126,20 +166,8 @@ def az_identity_sum(poset: RankedPoset, fam: Iterable[int]) -> AZReport:
     up = poset.upset_mask(ids)
     w_of, by_denominator = _boundary_w(poset, up, up)
     (bottom,) = poset.levels[0]
-    bottom_in = bottom in ids
-    total = _exact_sum(by_denominator) + int(bottom_in)
-    # terms share one Fraction per distinct (w, denominator); in_up[x] is bit x of U(A)
-    denominators = poset.identity_denominator
-    shared = {key: Fraction(*key) for key in {(w, denominators[x]) for x, w in w_of.items()}}
-    zero = Fraction(0)
-    in_up = format(up, f"0{poset.n}b")[::-1]
-    terms = []
-    for x in range(poset.n):
-        w = w_of.get(x, 0)
-        term = shared[w, denominators[x]] if w else zero
-        terms.append(AZTerm(x, w, term, False, x in ids, in_up[x] == "1"))
-    terms[bottom] = AZTerm(bottom, 0, Fraction(int(bottom_in)), bottom_in, bottom_in, bottom_in)
-    return AZReport(total=total, terms=tuple(terms))
+    total = _exact_sum(by_denominator) + int(bottom in ids)
+    return AZReport(total=total, poset=poset, family=ids, upset=up, w_of=w_of)
 
 
 def key_lemma_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:

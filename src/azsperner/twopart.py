@@ -113,15 +113,18 @@ def two_part_az_sum(
     fam = _validate_pairs(p, q, fam)
     per: dict[tuple[int, int], Fraction] = {}
     total = Fraction(0)
+    denominators = p.identity_denominator
     for y, slice_a in slices_by_q(q, fam).items():
         if not slice_a:
             raise EmptySliceError(y)
-        weight = Fraction(1, q.whitney[q.ranks[y]])
+        n_y = q.whitney[q.ranks[y]]
         report = az_identity_sum(p, slice_a)
-        for term in report.terms:
-            if term.term:
-                per[(term.element, y)] = term.term * weight
-        total += report.total * weight
+        # the nonzero terms are the W(x) > 0; with the bottom in A(y), U(A(y)) is all
+        # of P, so every W vanishes and the bottom convention's 1 is the only term
+        for x, w in report.w_of.items():
+            per[(x, y)] = Fraction(w, denominators[x] * n_y)
+        per.update(((x, y), Fraction(1, n_y)) for x in p.levels[0] if x in slice_a)
+        total += report.total / n_y
     return TwoPartAZReport(total=total, per_element=per)
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import azsperner.az as az
 from azsperner import (
     SkewPairSystem,
     adjoin_bounds,
@@ -11,13 +14,22 @@ from azsperner import (
     beta,
     boundary_chain_fractions,
     compute_w,
+    gen_boolean,
+    gen_chain_product,
+    gen_fig1a,
+    gen_fig1b,
+    gen_star_power,
+    gen_subspace_lattice,
     interval_w_sum,
     k_sperner_az,
     key_lemma_sum,
     lambda_table,
     lym_sum,
     second_az_identity,
+    two_part_az_sum,
 )
+from azsperner.az import AZTerm, _boundary_w, _exact_sum
+from azsperner.core import family
 from azsperner.errors import (
     EmptyFamilyError,
     NotAntichainError,
@@ -118,6 +130,127 @@ class TestIdentitySum:
                     if poset.ranks[x] == 0:
                         continue
                     assert compute_w(poset, fam, x) == len(grouped.get(x, ()))
+
+
+def eager_identity(poset, fam):
+    """Oracle: the identity total and every term, built in one eager loop."""
+    ids = family(poset, fam)
+    up = poset.upset_mask(ids)
+    w_of, by_denominator = _boundary_w(poset, up, up)
+    (bottom,) = poset.levels[0]
+    bottom_in = bottom in ids
+    total = _exact_sum(by_denominator) + int(bottom_in)
+    denominators = poset.identity_denominator
+    shared = {key: Fraction(*key) for key in {(w, denominators[x]) for x, w in w_of.items()}}
+    zero = Fraction(0)
+    in_up = format(up, f"0{poset.n}b")[::-1]
+    terms = []
+    for x in range(poset.n):
+        w = w_of.get(x, 0)
+        term = shared[w, denominators[x]] if w else zero
+        terms.append(AZTerm(x, w, term, False, x in ids, in_up[x] == "1"))
+    terms[bottom] = AZTerm(bottom, 0, Fraction(int(bottom_in)), bottom_in, bottom_in, bottom_in)
+    return total, tuple(terms)
+
+
+# U-posets, regular and not; the bounded ones put the bottom at id n, not 0
+LAZY_POSETS = [
+    gen_boolean(2),
+    gen_boolean(4),
+    gen_fig1a(),
+    gen_subspace_lattice(3, 2),
+    gen_chain_product([3, 2, 2]),
+    adjoin_bounds(gen_star_power(2, 2)),
+    adjoin_bounds(gen_fig1b()),
+]
+
+
+@st.composite
+def u_poset_families(draw):
+    poset = draw(st.sampled_from(LAZY_POSETS))
+    fam = draw(st.sets(st.integers(min_value=0, max_value=poset.n - 1), min_size=1))
+    return poset, fam
+
+
+class TestLazyTerms:
+    @given(u_poset_families())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_eager_loop(self, case):
+        poset, fam = case
+        total, terms = eager_identity(poset, fam)
+        report = az_identity_sum(poset, fam)
+        assert report.total == total
+        assert type(report.terms) is tuple and report.terms == terms
+        assert all(type(t) is AZTerm for t in report.terms)
+        assert report.to_json() == {
+            "total": f"{total.numerator}/{total.denominator}",
+            "terms": [t.to_json() for t in terms],
+        }
+
+    def test_no_record_before_terms_read(self, b4, monkeypatch):
+        # a record built inside the call would be a plain AZTerm; one built on
+        # first read is of the class the module holds by then
+        class Marked(AZTerm):
+            pass
+
+        report = az_identity_sum(b4, [1, 6])
+        assert report.total == 1 and "terms" not in vars(report)
+        monkeypatch.setattr(az, "AZTerm", Marked)
+        terms = report.terms
+        assert sum(type(t) is Marked for t in terms) == b4.n
+        assert report.terms is terms  # cached
+
+    def test_replace_keeps_terms(self, b3):
+        report = az_identity_sum(b3, [1, 6])
+        bad = dataclasses.replace(report, total=Fraction(5, 4))
+        assert bad.total == Fraction(5, 4) and report.total == 1
+        assert bad.terms == report.terms
+        assert bad != report
+
+    def test_equality_and_hash(self, b3, fig1a):
+        a = az_identity_sum(b3, [1, 6])
+        b = az_identity_sum(b3, [6, 1])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # same total, different terms
+        c = az_identity_sum(b3, [2])
+        assert c.total == a.total and c != a
+        # equal reports on distinct but equal posets
+        assert az_identity_sum(gen_boolean(3), [1, 6]) == a
+        assert a != az_identity_sum(fig1a, [0])
+        assert a != (a.total, a.terms)
+
+
+def walked_two_part(p, q, fam):
+    """Oracle: the product identity by walking each slice's terms and dropping zeros."""
+    slices = {}
+    for a, b in fam:
+        slices.setdefault(b, set()).add(a)
+    per = {}
+    total = Fraction(0)
+    for y in range(q.n):
+        weight = Fraction(1, q.whitney[q.ranks[y]])
+        report = az_identity_sum(p, slices[y])
+        for term in report.terms:
+            if term.term:
+                per[(term.element, y)] = term.term * weight
+        total += report.total * weight
+    return total, per
+
+
+class TestTwoPartFromWTable:
+    @pytest.mark.parametrize("p_index", range(len(LAZY_POSETS)))
+    def test_matches_term_walk(self, p_index, b2):
+        p = LAZY_POSETS[p_index]
+        rng = random.Random(53 + p_index)
+        for q in (b2, gen_chain_product([2, 1])):
+            for _ in range(15):
+                fam = {(a, y) for y in range(q.n) for a in rng.sample(range(p.n), rng.randint(1, 4))}
+                total, per = walked_two_part(p, q, fam)
+                report = two_part_az_sum(p, q, fam)
+                assert report.total == total
+                assert report.per_element == per
+                assert list(report.per_element) == list(per)
 
 
 class TestKeyLemma:

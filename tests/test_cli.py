@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -413,6 +414,26 @@ class TestInputErrors:
         _, detailed = run_cli(capsys, *argv, "--breakdown")
         assert "breakdown" not in plain[0]
         assert len(detailed[0]["breakdown"]["terms"]) == 8
+
+    @pytest.mark.parametrize(
+        "poset,fam,code,terms,digest",
+        [
+            ("fig1a", "a,c", 1, 6, "a7da28645a3d55cc"),
+            ("boolean:4", "random:6:1", 0, 16, "930aeecbc2ed20a5"),
+            ("subspace:3,2", "random:6:1", 0, 16, "46562b3cb1910618"),
+        ],
+    )
+    def test_thm1_breakdown_pinned(self, capsys, poset, fam, code, terms, digest):
+        # the digest of the whole report line but its timing, as the eager term loop printed it
+        got, lines = run_cli(
+            capsys, "az", "verify", "--poset", poset, "--identity", "thm1", "--family", fam,
+            "--breakdown",
+        )
+        line = lines[0]
+        line.pop("ms")
+        assert got == code and len(line["breakdown"]["terms"]) == terms
+        text = json.dumps(line, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 NON_NORMAL_5 = {
