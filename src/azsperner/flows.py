@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from .core import SOLUTION_CAP
 from .errors import SizeLimitError
+
+# maxima x elements an enumeration may list, for its time and memory
+LISTING_CAP = 40_000_000
 
 
 def level_pair_flow(
@@ -321,7 +323,8 @@ def enumerate_maximum_antichain_ids(
     endpoint per matched edge subject to implications from the non-matching
     edges.  SCC-condensing the implication digraph and walking its closed
     sets makes the enumeration output-linear, so a unique maximum costs one
-    matching, never a search.  More than ``SOLUTION_CAP`` maxima raise a
+    matching, never a search.  Each maximum is decoded as soon as the walk
+    finds it; listing more than ``LISTING_CAP`` maxima x elements raises a
     SizeLimitError.
     """
     adj, pair_l, pair_r, chains = _dilworth(n, strict_pairs)
@@ -369,8 +372,12 @@ def enumerate_maximum_antichain_ids(
     if scc_true & scc_false:
         raise RuntimeError("inconsistent cover constraints")
 
-    assignments: list[set[int]] = []
-    stack: list[tuple[int, set[int]]] = [(0, set(scc_true))]
+    # the SCCs of the matched edges at x_L and x_R (unmatched: -1, never True,
+    # and n_sccs, always True); x is in the antichain iff the cover takes neither
+    left = [members[edge_index[x]] if pair_l[x] != -1 else -1 for x in range(n)]
+    right = [left[pair_r[x]] if pair_r[x] != -1 else n_sccs for x in range(n)]
+    antichains: list[frozenset[int]] = []
+    stack: list[tuple[int, set[int]]] = [(0, scc_true | {n_sccs})]
     while stack:
         start, true_sccs = stack.pop()
         for s in range(start, n_sccs):
@@ -379,23 +386,13 @@ def enumerate_maximum_antichain_ids(
             elif s not in scc_false:
                 stack.append((s + 1, set(true_sccs)))  # branch with s False
                 true_sccs.add(s)
-        assignments.append(true_sccs)
-        if len(assignments) > SOLUTION_CAP:
-            raise SizeLimitError("more maximum antichains than the enumeration cap")
-
-    antichains = set()
-    for true_sccs in assignments:
-        pick_left = [members[i] in true_sccs for i in range(m)]
-        out = []
-        for x in range(n):
-            left_free = pair_l[x] == -1 or not pick_left[edge_index[x]]
-            if not left_free:
-                continue
-            u = pair_r[x]
-            right_free = u == -1 or pick_left[edge_index[u]]
-            if right_free:
-                out.append(x)
-        antichains.add(frozenset(out))
+        if (len(antichains) + 1) * n > LISTING_CAP:
+            raise SizeLimitError(
+                f"over {len(antichains)} maximum antichains of {n} elements (cap {LISTING_CAP})"
+            )
+        antichains.append(frozenset(
+            x for x in range(n) if left[x] not in true_sccs and right[x] in true_sccs
+        ))
     return sorted(antichains, key=sorted), chains
 
 

@@ -2,17 +2,15 @@
 decomposition, LYM sums, exact maximum oracles, and strict-Sperner checks.
 
 The strict verdict on a strictly normal poset is read off the LYM
-certificate (`_lym_certificate`); the searches below decide every other input
-and are the certificate's oracle in the tests.
+certificate (`_lym_certificate`); the search below decides every other input
+and is the certificate's oracle in the tests.
 
-The exhaustive searches are branch-and-bound over elements in rank order; the
-admissible bound comes from a fixed minimum chain cover (any k-Sperner family
-meets a chain of length c in at most min(c, k) elements).  The search keeps k
-layer bitmasks of the chosen elements, by the length of the longest chosen
-chain ending at each, so a new element's depth is found with at most k mask
-tests against its down-set.  The bound, the sum over cover chains of
-min(k - chosen on the chain, members of the chain still ahead), is passed down
-the recursion: each step changes one chain's term, by at most one.
+The search serves every k through Saks's correspondence (1979) for the
+k-families of Greene and Kleitman (1976): the k-Sperner families of P are the
+projections of the antichains of P × C_k, C_k the k-element chain (one copy
+of each member, labels falling along every chain; depth labels lift a family
+back).  So the maximum is the Dilworth width of the product, and the maxima
+project from its maximum antichains.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .core import SOLUTION_CAP, Family, RankedPoset, family
+from .core import Family, RankedPoset, _ids_of, family
 from .errors import (
     NotKSpernerError,
     NotStrictlyNormalError,
@@ -36,7 +34,6 @@ from .flows import (
 )
 from .properties import ENUM_LEVEL_CAP, check_strictly_normal, strictly_normal_fast_path
 
-EXHAUSTIVE_CAP = 24
 ORACLE_CAP = 2000
 # subsets the strict-normality scan may visit when the search can decide
 SCAN_BUDGET = 1 << 16
@@ -109,10 +106,13 @@ def lym_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:
     )
 
 
-def _certify(poset: RankedPoset, antichain: Family, chains: list[list[int]]) -> None:
-    """An antichain with one element per chain of a chain partition is maximum."""
-    if len(antichain) != len(chains) or not poset.is_antichain(antichain):
-        raise PosetError("matching dual failed to certify the antichain")
+def _certify(poset: RankedPoset, families: list[Family], chains: list, k: int = 1) -> None:
+    """A k-Sperner family with one member per chain of a chain cover (of the
+    lifts into P × C_k) is maximum; every family listed must have its size."""
+    if len(families[0]) != len(chains) or not is_k_sperner(poset, families[0], k)[0]:
+        raise PosetError("matching dual failed to certify the maximum")
+    if any(len(f) != len(chains) for f in families):
+        raise PosetError("matching-based enumeration disagrees with the Dilworth size")
 
 
 def max_antichain(poset: RankedPoset) -> Family:
@@ -120,141 +120,95 @@ def max_antichain(poset: RankedPoset) -> Family:
     if poset.n > ORACLE_CAP:
         raise SizeLimitError(f"{poset.n} elements exceed the cap {ORACLE_CAP}")
     antichain, chains = maximum_antichain_ids(poset.n, _strict_pairs(poset))
-    _certify(poset, antichain, chains)
+    _certify(poset, [antichain], chains)
     return antichain
 
 
 def is_homogeneous(poset: RankedPoset, fam: Iterable[int]) -> bool:
     """True iff the family is a union of complete levels."""
     fam = set(fam)
-    for level in poset.levels:
-        inside = fam.intersection(level)
-        if inside and len(inside) != len(level):
-            return False
-    return True
+    return all(len(fam.intersection(level)) in (0, len(level)) for level in poset.levels)
 
 
-class _KSpernerSearch:
-    """Branch and bound over elements in rank order with a chain-cover bound."""
+def _product(poset: RankedPoset, k: int) -> tuple | None:
+    """The lifts (x, i) of P into P × C_k: their number, strict pairs and
+    owners x by id; None from k levels on, where P is the unique maximum.
 
-    def __init__(self, poset: RankedPoset, k: int):
-        if k < 1:
-            raise PosetError("k must be at least 1")
-        self.poset = poset
-        self.k = k
-        self.order = sorted(range(poset.n), key=lambda x: (poset.ranks[x], x))
-        cover = minimum_chain_cover(poset.n, _strict_pairs(poset))
-        self.chain_of = [0] * poset.n
-        for ci, chain in enumerate(cover):
-            for x in chain:
-                self.chain_of[x] = ci
-        self.n_chains = len(cover)
-        # remaining[idx]: members of order[idx]'s chain at positions idx onwards
-        self.remaining = [0] * poset.n
-        seen = [0] * self.n_chains
-        for idx in range(poset.n - 1, -1, -1):
-            c = self.chain_of[self.order[idx]]
-            seen[c] += 1
-            self.remaining[idx] = seen[c]
-        self.root_bound = sum(min(k, count) for count in seen)
+    (x, i) < (y, j) iff x <= y, i <= j and they differ.  Labels stop below
+    c(x), the longest chain up from x, at most k: that keeps the lift labelling
+    each member by the longest chain up from it in the family, less one, and
+    drops only surplus lifts of the same families.
+    """
+    if k < 1:
+        raise PosetError("k must be at least 1")
+    if k >= len(poset.whitney):
+        return None
+    if not _searchable(poset, k):
+        raise SizeLimitError(
+            f"{poset.name}: n*k = {poset.n * k} exceeds the search cap {ORACLE_CAP} (k={k})"
+        )
+    if k == 1:  # the lifts are P itself
+        return poset.n, _strict_pairs(poset), range(poset.n)
+    c = [0] * poset.n
+    for level in reversed(poset.levels):
+        for x in level:
+            c[x] = min(k, 1 + max((c[y] for y in poset.up_adj[x]), default=0))
+    first: list[int] = []
+    owner: list[int] = []
+    for x in range(poset.n):
+        first.append(len(owner))
+        owner += [x] * c[x]
 
-    def run(self, target: int | None = None) -> tuple[int, list[Family]]:
-        """Find the maximum size, or enumerate all families of the target size."""
-        k = self.k
-        order = self.order
-        n = len(order)
-        chain_of = self.chain_of
-        remaining = self.remaining
-        down = self.poset.down_mask
-        enumerate_all = target is not None
-        whitneys = sorted(self.poset.whitney, reverse=True)
-        self.best = target if enumerate_all else sum(whitneys[:k])
-        self.found: list[Family] = []
-        chosen: list[int] = []
-        # layers[d]: the chosen elements whose longest chosen chain down has d + 1 members
-        layers = [0] * k
-        in_chain = [0] * self.n_chains
+    def pairs() -> Iterable[tuple[int, int]]:
+        for x in range(poset.n):
+            for i in range(first[x], first[x] + c[x] - 1):
+                for j in range(i + 1, first[x] + c[x]):
+                    yield i, j
+        # a < b gives c[a] >= c[b], so each label of b sits below its copy in a
+        for a, b in _strict_pairs(poset):
+            for i in range(c[b]):
+                for j in range(first[b] + i, first[b] + c[b]):
+                    yield first[a] + i, j
 
-        def record() -> None:
-            self.found.append(frozenset(chosen))
-            if len(self.found) > SOLUTION_CAP:
-                raise SizeLimitError("too many maximum families to enumerate")
-
-        def search(idx: int, bound: int) -> None:
-            # bound: sum over chains c of min(k - in_chain[c], members of c left)
-            size = len(chosen)
-            if enumerate_all:
-                if size == self.best:
-                    record()
-                    return
-                if size + bound < self.best:
-                    return
-            else:
-                if size > self.best:
-                    self.best = size
-                if idx == n:
-                    return
-                if size + bound <= self.best:
-                    return
-            if idx == n:
-                return
-            x = order[idx]
-            c = chain_of[x]
-            below = down[x]
-            d = k
-            while d and not layers[d - 1] & below:
-                d -= 1
-            if d < k:
-                bit = 1 << x
-                chosen.append(x)
-                layers[d] |= bit
-                in_chain[c] += 1
-                search(idx + 1, bound - 1)
-                in_chain[c] -= 1
-                layers[d] ^= bit
-                chosen.pop()
-            search(idx + 1, bound - (remaining[idx] <= k - in_chain[c]))
-
-        search(0, self.root_bound)
-        return self.best, self.found
+    return len(owner), pairs(), owner
 
 
 def max_k_sperner_size(poset: RankedPoset, k: int) -> int:
-    """Exact maximum size of a k-Sperner family (elements capped at 24).
-
-    The size-only search, without the enumeration pass of
-    `enumerate_maximum_k_sperner`; perfbench's tracer resolves it by name.
-    """
-    if poset.n > EXHAUSTIVE_CAP:
-        raise SizeLimitError(f"{poset.n} elements exceed the cap {EXHAUSTIVE_CAP}")
-    size, _ = _KSpernerSearch(poset, k).run()
-    return size
+    """Exact maximum size of a k-Sperner family: the chains of a minimum chain
+    cover of the lifts into P × C_k, one matching and no enumeration."""
+    product = _product(poset, k)
+    return poset.n if product is None else len(minimum_chain_cover(*product[:2]))
 
 
 def enumerate_maximum_k_sperner(poset: RankedPoset, k: int) -> tuple[int, list[Family]]:
-    """All maximum k-Sperner families, by exhaustive branch and bound."""
-    if poset.n > EXHAUSTIVE_CAP:
-        raise SizeLimitError(f"{poset.n} elements exceed the cap {EXHAUSTIVE_CAP}")
-    engine = _KSpernerSearch(poset, k)
-    size, _ = engine.run()
-    _, families = engine.run(target=size)
-    return size, families
+    """All maximum k-Sperner families, projected from the maximum antichains
+    of the lifts into P × C_k, in take-before-skip order over (rank, id): of
+    two families, the first to hold an element the other lacks comes first.
+    """
+    product = _product(poset, k)
+    if product is None:
+        return poset.n, [frozenset(range(poset.n))]
+    n_lifts, pairs, owner = product
+    antichains, chains = enumerate_maximum_antichain_ids(n_lifts, pairs)
+    # position p of the (rank, id) order is bit n - 1 - p, so the order wanted
+    # is descending mask order; an antichain holds one lift of each member
+    by_bit = sorted(range(poset.n), key=lambda x: (-poset.ranks[x], -x))
+    bit = {x: 1 << b for b, x in enumerate(by_bit)}
+    masks = sorted({sum(bit[owner[v]] for v in a) for a in antichains}, reverse=True)
+    del antichains
+    families = [frozenset(by_bit[b] for b in _ids_of(mask)) for mask in masks]
+    _certify(poset, families, chains, k)
+    return len(chains), families
 
 
 def enumerate_maximum_antichains(poset: RankedPoset) -> tuple[int, list[Family]]:
-    """All maximum antichains, walked off the split-graph matching structure.
-
-    Output-linear: a poset with a unique maximum costs one matching.  The
-    size is certified against the chain cover read off that matching.
-    """
+    """All maximum antichains, sorted by id, walked off one split-graph matching
+    (a unique maximum costs just the matching) and certified by its chain cover."""
     if poset.n > ORACLE_CAP:
         raise SizeLimitError(f"{poset.n} elements exceed the cap {ORACLE_CAP}")
     families, chains = enumerate_maximum_antichain_ids(poset.n, _strict_pairs(poset))
-    _certify(poset, families[0], chains)
-    size = len(chains)
-    if any(len(f) != size for f in families):
-        raise PosetError("matching-based enumeration disagrees with the Dilworth size")
-    return size, families
+    _certify(poset, families, chains)
+    return len(chains), families
 
 
 @dataclass(frozen=True)
@@ -279,8 +233,8 @@ class StrictSpernerResult:
 
 
 def _searchable(poset: RankedPoset, k: int) -> bool:
-    """Within the search caps: any k up to 24 elements, k = 1 up to 2000."""
-    return poset.n <= EXHAUSTIVE_CAP or (k == 1 and poset.n <= ORACLE_CAP)
+    """Within the search cap: the product P × C_k has at most ORACLE_CAP elements."""
+    return poset.n * k <= ORACLE_CAP
 
 
 def _lym_certificate(poset: RankedPoset, k: int) -> StrictSpernerResult | None:
@@ -326,31 +280,20 @@ def check_strict_k_sperner(poset: RankedPoset, k: int) -> StrictSpernerResult:
     maximum.  A graded poset with more than k levels that passes
     `check_strictly_normal` is decided by the LYM certificate, with no search:
     the verdict holds, the maximum is the sum of the k largest levels, and the
-    maxima are the k-sets of levels reaching it.  Every other input (not
-    graded, or not strictly normal) is searched: up to 24 elements any k is handled
-    exhaustively; for k = 1 the maximum antichains of posets up to 2000
-    elements are enumerated.  The search also decides a poset that is not
-    regular and level-connected when strict normality would need a subset
-    scan of a level above 22 elements, or, within the search caps, of more
-    than 2^16 subsets in all.
+    maxima are the k-sets of levels reaching it.  The search, projecting the
+    maximum antichains of P × C_k up to 2000 product elements, decides every
+    other input, and a poset that is not regular and level-connected when
+    strict normality would need a subset scan of a level above 22 elements
+    or, within the search cap, of more than 2^16 subsets in all.
     """
     if k < 1:
         raise PosetError("k must be at least 1")
     certified = _lym_certificate(poset, k)
     if certified is not None:
         return certified
-    if not _searchable(poset, k):
-        raise SizeLimitError(
-            f"{poset.name}: {poset.n} elements with k={k} exceeds the search caps"
-        )
-    if poset.n <= EXHAUSTIVE_CAP:
-        size, families = enumerate_maximum_k_sperner(poset, k)
-    else:
-        size, families = enumerate_maximum_antichains(poset)
-    for fam in families:
-        if not is_homogeneous(poset, fam):
-            return StrictSpernerResult(False, k, size, len(families), fam)
-    return StrictSpernerResult(True, k, size, len(families), None)
+    size, families = enumerate_maximum_k_sperner(poset, k)
+    witness = next((fam for fam in families if not is_homogeneous(poset, fam)), None)
+    return StrictSpernerResult(witness is None, k, size, len(families), witness)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import azsperner
-from azsperner import acceptance
+from azsperner import acceptance, flows
 from azsperner.cli import main
 
 
@@ -236,6 +236,13 @@ class TestSperner:
         code, lines = run_cli(capsys, *argv, "3")
         assert code == 0
         assert lines[0]["verdict"] == "pass" and lines[0]["chain"] is None
+
+    def test_strict_refused_enumeration_exits_2(self, capsys, monkeypatch):
+        # chains:7,4 has 105 maximum 2-Sperner families, and more lifts of them
+        monkeypatch.setattr(flows, "LISTING_CAP", 1000)
+        code, lines = run_cli(capsys, "sperner", "strict", "--poset", "chains:7,4", "--k", "2")
+        assert code == 2 and lines[0]["verdict"] == "error"
+        assert "maximum antichains" in lines[0]["error"]
 
     @pytest.mark.parametrize("spec, k, n", [("boolean:5", "7", 32), ("chains:7,4", "10", 28)])
     def test_strict_k_past_the_levels_is_the_whole_poset(self, capsys, spec, k, n):

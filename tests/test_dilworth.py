@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from azsperner import flows, parse_poset_spec, sperner
 from azsperner.core import RankedPoset
-from azsperner.errors import PosetError
+from azsperner.errors import PosetError, SizeLimitError
 from azsperner.mis import MaxIndependentSet
 from test_invariants import graded_posets
 
@@ -110,6 +110,18 @@ def test_uncertified_answers_are_poset_errors(monkeypatch):
         )
         with pytest.raises(PosetError, match=message):
             sperner.enumerate_maximum_antichains(poset)
+
+
+def test_listing_past_the_work_cap_is_refused(monkeypatch):
+    # chains:7,4 has 35 maximum antichains of its 28 elements
+    poset = parse_poset_spec("chains:7,4")
+    pairs = sperner._strict_pairs(poset)
+    monkeypatch.setattr(flows, "LISTING_CAP", 35 * 28)
+    families, _ = flows.enumerate_maximum_antichain_ids(poset.n, pairs)
+    assert len(families) == 35
+    monkeypatch.setattr(flows, "LISTING_CAP", 35 * 28 - 1)
+    with pytest.raises(SizeLimitError, match="over 34 maximum antichains of 28 elements"):
+        flows.enumerate_maximum_antichain_ids(poset.n, pairs)
 
 
 @pytest.fixture(scope="module")

@@ -325,8 +325,19 @@ def test_antichain_enumeration_routes_agree(poset):
 
     size_m, fams_m = enumerate_maximum_antichains(poset)
     size_b, fams_b = enumerate_maximum_k_sperner(poset, 1)
-    assert size_m == size_b
-    assert set(fams_m) == set(fams_b)
+    # brute force: every antichain, as a mask grown one element at a time
+    comparable = [poset.up_mask[x] | poset.down_mask[x] for x in range(poset.n)]
+    antichains = [0]
+    for x in range(poset.n):
+        antichains += [a | 1 << x for a in antichains if not a & comparable[x]]
+    size = max(a.bit_count() for a in antichains)
+    maxima = {
+        frozenset(x for x in range(poset.n) if a >> x & 1)
+        for a in antichains
+        if a.bit_count() == size
+    }
+    assert size_m == size_b == size
+    assert set(fams_m) == set(fams_b) == maxima
 
 
 @given(poset_and_family())

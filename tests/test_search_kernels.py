@@ -1,4 +1,4 @@
-"""The bit-parallel search kernels against independent references.
+"""The exhaustive searches against independent references.
 
 Each reference lives here: a sequential first-fit clique cover, brute force
 over all vertex subsets, the pairwise conflict definition, and brute force
@@ -6,14 +6,13 @@ over all families filtered by ``is_k_sperner``.
 """
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from azsperner import build_poset, enumerate_maximum_k_sperner, is_k_sperner, parse_poset_spec
+from azsperner.sperner import max_k_sperner_size
 from azsperner.mis import MaxIndependentSet, _clique_cover
-from azsperner.sperner import _KSpernerSearch
 from azsperner.twopart import _conflict, conflict_graph
 
 
@@ -50,10 +49,12 @@ def graphs(draw, max_vertices):
 
 
 @st.composite
-def graded_posets(draw, max_elements):
-    """Small graded posets with ids shuffled across the levels."""
+def graded_posets(draw, max_elements, graded=True, max_levels=4):
+    """Small ranked posets with ids shuffled across the levels.  Graded ones
+    get covers patched in until no element is minimal above rank 0 or maximal
+    below the top; the others keep only their random covers."""
     sizes = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    for _ in range(draw(st.integers(min_value=1, max_value=max_levels))):
         room = min(4, max_elements - sum(sizes))
         if room:
             sizes.append(draw(st.integers(min_value=1, max_value=room)))
@@ -68,6 +69,8 @@ def graded_posets(draw, max_elements):
             for y in upper:
                 if draw(st.booleans()):
                     covers.add((x, y))
+        if not graded:
+            continue
         for y in upper:
             if not any((x, y) in covers for x in lower):
                 covers.add((draw(st.sampled_from(lower)), y))
@@ -122,15 +125,15 @@ def test_conflict_graph_matches_pairwise_definition(p, q):
         assert adj[i] == row
 
 
-@given(graded_posets(12))
-@settings(max_examples=40, deadline=None)
+@given(st.booleans().flatmap(lambda graded: graded_posets(12, graded=graded, max_levels=6)))
+@settings(max_examples=60, deadline=None)
 def test_maximum_k_sperner_matches_brute_force(poset):
     subsets = [
         frozenset(x for x in range(poset.n) if (mask >> x) & 1) for mask in range(1 << poset.n)
     ]
-    # the search takes an element before it skips it, in (rank, id) order
+    # the families come take-before-skip over the elements in (rank, id) order
     order = sorted(range(poset.n), key=lambda x: (poset.ranks[x], x))
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         families = [fam for fam in subsets if is_k_sperner(poset, fam, k)[0]]
         size = max(len(fam) for fam in families)
         maxima = sorted(
@@ -138,6 +141,7 @@ def test_maximum_k_sperner_matches_brute_force(poset):
             key=lambda fam: [x not in fam for x in order],
         )
         assert enumerate_maximum_k_sperner(poset, k) == (size, maxima)
+        assert max_k_sperner_size(poset, k) == size
 
 
 @given(graphs(14))
@@ -198,45 +202,3 @@ def test_mis_tree_sizes_are_pinned(monkeypatch, specs):
     _, maxima = MaxIndependentSet(adj).enumerate()
     enumerate_calls = len(calls) - run_calls
     assert (size, len(maxima), run_calls, enumerate_calls) == PINNED_TREES[specs]
-
-
-# (spec, k): (maximum, maxima, search calls in run(), in run(target=maximum)).
-# run() starts from the sum of the k largest levels, which every poset here
-# reaches, so it stops at the root; the enumeration's count pins the bound.
-PINNED_K_SPERNER_TREES = {
-    ("boolean:4", 1): (6, 1, 1, 336),
-    ("boolean:4", 2): (10, 2, 1, 1210),
-    ("boolean:4", 3): (14, 1, 1, 149),
-    ("chains:4,4", 2): (7, 2, 1, 1108),
-}
-
-
-def counted_k_sperner_run(engine, **kwargs):
-    """engine.run(**kwargs) and the calls it made to its nested ``search``."""
-    search_code = next(
-        const
-        for const in _KSpernerSearch.run.__code__.co_consts
-        if getattr(const, "co_name", None) == "search"
-    )
-    calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is search_code:
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        result = engine.run(**kwargs)
-    finally:
-        sys.setprofile(previous)
-    return result, calls
-
-
-@pytest.mark.parametrize("spec,k", sorted(PINNED_K_SPERNER_TREES))
-def test_k_sperner_tree_sizes_are_pinned(spec, k):
-    engine = _KSpernerSearch(parse_poset_spec(spec), k)
-    (size, _), run_calls = counted_k_sperner_run(engine)
-    (_, maxima), enumerate_calls = counted_k_sperner_run(engine, target=size)
-    assert (size, len(maxima), run_calls, enumerate_calls) == PINNED_K_SPERNER_TREES[spec, k]

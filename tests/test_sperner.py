@@ -29,9 +29,9 @@ from azsperner.errors import (
     SizeLimitError,
 )
 import azsperner.properties as properties
+import azsperner.sperner as sperner
 from azsperner.sperner import (
     StrictSpernerResult,
-    _KSpernerSearch,
     is_homogeneous,
     max_k_sperner_size,
 )
@@ -214,24 +214,28 @@ class TestStrictSperner:
         assert check_strict_k_sperner(c322, 2).holds
 
     def test_size_limit(self):
-        # 28 elements and not strictly normal: no certificate, and above the search cap
+        # 28 elements and not strictly normal: no certificate, so the search
+        # lifts into P x C_2 (at most 56 elements) and answers
         poset = gen_chain_product([7, 4])
         assert not check_strictly_normal(poset).holds
-        with pytest.raises(SizeLimitError):
-            check_strict_k_sperner(poset, 2)
-        # k = 1 above 24 elements takes the matching route
+        res = check_strict_k_sperner(poset, 2)
+        assert (res.holds, res.max_size, res.maxima_count, res.method) == (False, 8, 105, "search")
         res = check_strict_k_sperner(poset, 1)
         assert (res.holds, res.max_size, res.maxima_count, res.method) == (False, 4, 35, "search")
-        # boolean:5 (32 elements) is strictly normal: the certificate answers k = 2,
-        # as the branch and bound does without its cap (levels 2 and 3 only)
+        # 1,066 elements, not strictly normal: k = 2 needs 2,132 product
+        # elements, past ORACLE_CAP, and is refused before any product is built
+        poset = gen_chain_product([41, 26])
+        with pytest.raises(SizeLimitError, match="search cap"):
+            check_strict_k_sperner(poset, 2)
+        # boolean:5 (32 elements) is strictly normal: the certificate answers
+        # k = 2, as the search does (levels 2 and 3 only)
         b5 = gen_boolean(5)
         res = check_strict_k_sperner(b5, 2)
         assert (res.holds, res.max_size, res.maxima_count, res.method) == (
             True, 20, 1, "certificate"
         )
-        engine = _KSpernerSearch(b5, 2)
-        size, _ = engine.run()
-        assert (size, len(engine.run(target=size)[1])) == (20, 1)
+        size, families = enumerate_maximum_k_sperner(b5, 2)
+        assert (size, len(families), max_k_sperner_size(b5, 2)) == (20, 1, 20)
 
     @pytest.mark.parametrize("k", [0, -1])
     @pytest.mark.parametrize(
@@ -243,8 +247,8 @@ class TestStrictSperner:
 
 
 def reference_strict_k_sperner(poset, k):
-    """The search composition: every maximum by branch and bound, each tested
-    with ``is_homogeneous``, the first failure as the witness."""
+    """The search composition: every maximum from the lifts into P x C_k,
+    each tested with ``is_homogeneous``, the first failure as the witness."""
     size, families = enumerate_maximum_k_sperner(poset, k)
     for fam in families:
         if not is_homogeneous(poset, fam):
@@ -270,6 +274,18 @@ class TestStrictSpernerCertificate:
             reference = reference_strict_k_sperner(poset, k)
             assert result == reference, k
             assert result.to_json() == {**reference.to_json(), "method": "certificate"}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("spec", ["boolean:5", "boolean:6", "subspace:4,2", "chains:5,5,5"])
+    def test_equals_the_search_past_24_elements(self, monkeypatch, spec, k):
+        # the old branch and bound stopped at 24 elements; chains:5,5,5 is
+        # scanned for strict normality here even though the search could decide
+        monkeypatch.setattr(sperner, "SCAN_BUDGET", 1 << 30)
+        poset = parse_poset_spec(spec)
+        assert poset.n > 24
+        result = check_strict_k_sperner(poset, k)
+        assert result.method == "certificate"
+        assert result == reference_strict_k_sperner(poset, k)
 
     @given(graded_posets(14))
     @settings(max_examples=150, deadline=None)
@@ -300,7 +316,7 @@ class TestStrictSpernerCertificate:
 
     def test_falls_back_when_the_strictness_scan_refuses(self, monkeypatch):
         # a 25-element level is past the subset scan: the search decides k = 1
-        # without scanning the smaller levels first
+        # and k = 2 without scanning the smaller levels first
         poset = gen_chain_product([6, 6, 6])
         with pytest.raises(LevelTooLargeError):
             check_strictly_normal(poset)
@@ -314,16 +330,16 @@ class TestStrictSpernerCertificate:
         monkeypatch.setattr(properties, "_normal_level_enumerate", counted)
         res = check_strict_k_sperner(poset, 1)
         assert res.method == "search" and res.max_size == max(poset.whitney)
-        # k = 2 is past the search caps as well: refused, as before, unscanned
-        with pytest.raises(SizeLimitError, match="search caps"):
-            check_strict_k_sperner(poset, 2)
+        res = check_strict_k_sperner(poset, 2)
+        assert (res.holds, res.max_size, res.maxima_count, res.method) == (True, 54, 1, "search")
         assert scanned == []
 
     def test_large_scan_left_to_the_search_within_its_caps(self, monkeypatch):
-        # chains:5,5,5 is strictly normal, but not regular: the scan would visit
-        # over a million subsets, so k = 1 (216 elements) goes to the matching
-        # search; k = 2 is past the search caps, so the scan runs and certifies
-        poset = gen_chain_product([5, 5, 5])
+        # chains:15,15 is strictly normal, but not regular: the scan would visit
+        # about 98,000 subsets, so k = 8 (1,800 product elements) goes to the
+        # search; k = 9 (2,025) is past the search cap, so the scan runs and
+        # certifies
+        poset = gen_chain_product([15, 15])
         scanned = []
         scan = properties._normal_level_enumerate
 
@@ -332,12 +348,12 @@ class TestStrictSpernerCertificate:
             return scan(poset, i, strict)
 
         monkeypatch.setattr(properties, "_normal_level_enumerate", counted)
-        res = check_strict_k_sperner(poset, 1)
+        res = check_strict_k_sperner(poset, 8)
         assert res.method == "search" and scanned == []
-        assert (res.holds, res.max_size, res.maxima_count) == (True, 19, 1)
-        res = check_strict_k_sperner(poset, 2)
+        assert (res.holds, res.max_size, res.maxima_count) == (True, 104, 2)
+        res = check_strict_k_sperner(poset, 9)
         assert res.method == "certificate" and scanned
-        assert (res.holds, res.max_size, res.maxima_count) == (True, 37, 2)
+        assert (res.holds, res.max_size, res.maxima_count) == (True, 115, 1)
 
     def test_counts_maxima_in_closed_form(self):
         # a 1000-element chain: every level has one element, so the maxima for
