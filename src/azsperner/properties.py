@@ -113,6 +113,20 @@ def _level_pair_edges(poset: RankedPoset, i: int) -> list[tuple[int, int]]:
     return [(hi, lo) for lo in poset.levels[i - 1] for hi in poset.up_adj[lo]]
 
 
+def _uniform_degree(poset: RankedPoset, i: int) -> int | None:
+    """d when every element of level i has d upper covers and every element of
+    level i + 1 has the same number of lower covers, else None.
+
+    Such a pair is normal with g = 1/(N_i d) on every cover: the rows sum to
+    1/N_i, and a column with d' lower covers sums to d'/(N_i d) = 1/N_{i+1},
+    since both N_i d and N_{i+1} d' count the covers between the two levels.
+    d >= 1: on a graded poset every element above rank 0 has a lower cover.
+    """
+    ups = {len(poset.up_adj[x]) for x in poset.levels[i]}
+    downs = {len(poset.down_adj[y]) for y in poset.levels[i + 1]}
+    return ups.pop() if len(ups) == len(downs) == 1 else None
+
+
 def _normal_level_enumerate(
     poset: RankedPoset, i: int, strict: bool
 ) -> tuple[int, ...] | None:
@@ -154,9 +168,11 @@ def _normal_level_enumerate(
 def check_normal(poset: RankedPoset, mode: str = "flow") -> CheckResult:
     """Normalized matching between every pair of consecutive levels.
 
-    flow mode decides each level pair by integer max-flow feasibility and
-    extracts a violating subset from a minimum cut; enumerate mode scans all
-    subsets of the upper level (capped at 22 elements per level).
+    flow mode passes a uniform level pair (constant up-degree below, constant
+    down-degree above; see _uniform_degree) with no flow, and decides every
+    other pair by integer max-flow feasibility, extracting a violating subset
+    from a minimum cut; enumerate mode scans all subsets of the upper level
+    (capped at 22 elements per level) and stays the independent oracle.
     """
     _require_graded(poset)
     if mode not in ("flow", "enumerate"):
@@ -166,6 +182,8 @@ def check_normal(poset: RankedPoset, mode: str = "flow") -> CheckResult:
         if mode == "enumerate":
             witness = _normal_level_enumerate(poset, i, strict=False)
             ok = witness is None
+        elif _uniform_degree(poset, i - 1) is not None:
+            ok = True
         else:
             upper = poset.levels[i]
             lower = poset.levels[i - 1]
@@ -326,12 +344,24 @@ class ChainCovering:
 def build_chain_covering(poset: RankedPoset) -> ChainCovering:
     """Solve the per-level-pair transportation problems for a regular covering.
 
-    Each consecutive level pair is scaled to an integer max-flow instance;
-    infeasibility of any pair certifies a normality violation.
+    A uniform level pair i (see _uniform_degree) gets the weight 1/(N_i d) on
+    every cover, with no flow, so on a regular poset every maximal chain
+    weighs 1/#chains.  Every other pair is scaled to an integer max-flow
+    instance; infeasibility of any pair certifies a normality violation.
     """
     _require_graded(poset)
-    g: dict[tuple[int, int], Fraction] = {}
+    # one weight object per uniform pair, which verify_chain_covering reads
+    # once; the keys are the tuples of poset.covers, so g allocates none
+    shared: list[Fraction | None] = []
     for i in range(poset.height):
+        d = _uniform_degree(poset, i)
+        shared.append(None if d is None else Fraction(1, poset.whitney[i] * d))
+    g: dict[tuple[int, int], Fraction] = {
+        c: w for c in poset.covers if (w := shared[poset.ranks[c[0]]]) is not None
+    }
+    for i, w in enumerate(shared):
+        if w is not None:
+            continue
         upper_size = poset.whitney[i + 1]
         lower_size = poset.whitney[i]
         edges = [(lo, hi) for lo in poset.levels[i] for hi in poset.up_adj[lo]]
@@ -378,6 +408,14 @@ def _scaled_edges(
     e: list[dict[int, int]] = [{} for _ in range(poset.n)]
     lcms = []
     for level in poset.levels[:-1]:
+        weights = (g.get((x, y)) for x in level for y in poset.up_adj[x])
+        shared = next(weights, None)
+        if shared is not None and all(w is shared for w in weights):
+            # one weight object on every cover of the level: read it once
+            lcms.append(shared.denominator)
+            for x in level:
+                e[x] = dict.fromkeys(poset.up_adj[x], shared.numerator)
+            continue
         rows = [[(y, g.get((x, y))) for y in poset.up_adj[x]] for x in level]
         scale = lcm(*(w.denominator for row in rows for _, w in row if w is not None))
         lcms.append(scale)
@@ -430,10 +468,15 @@ def verify_chain_covering(poset: RankedPoset, covering: ChainCovering) -> Coveri
     _require_graded(poset)
     violations: list[str] = []
     marginals_ok = True
+    checked = None  # the last weight read as non-negative; a shared one repeats
     for (x, y), w in covering.g.items():
+        if w is checked:
+            continue
         if w.numerator < 0:
             marginals_ok = False
             violations.append(f"negative weight on edge ({x},{y})")
+        else:
+            checked = w
     e, lcms = _scaled_edges(poset, covering.g)
     for i, scale in enumerate(lcms):
         n_lo, n_hi = poset.whitney[i], poset.whitney[i + 1]

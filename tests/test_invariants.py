@@ -282,6 +282,7 @@ def test_normal_modes_agree_and_covering_matches(poset):
     flow = check_normal(poset, mode="flow")
     enum = check_normal(poset, mode="enumerate")
     assert flow.holds == enum.holds
+    assert flow.detail["levels"] == enum.detail["levels"]
     try:
         covering = build_chain_covering(poset)
         built = True

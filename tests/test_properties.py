@@ -17,6 +17,7 @@ from azsperner import (
     lambda_table,
     verify_chain_covering,
 )
+from azsperner import flows, properties
 from azsperner.errors import (
     LevelTooLargeError,
     NotGradedError,
@@ -94,6 +95,15 @@ class TestNormal:
         for poset in (b4, l32, fig1b, star22):
             if check_regular(poset).holds:
                 assert check_normal(poset).holds
+
+    def test_regular_needs_no_flow(self, b4, monkeypatch):
+        def no_flow(*args):
+            raise AssertionError("a uniform level pair ran a max-flow")
+
+        monkeypatch.setattr(flows, "level_pair_flow", no_flow)
+        res = check_normal(b4, mode="flow")
+        assert res.holds
+        assert res.detail["levels"] == [{"level": i, "ok": True} for i in range(1, 5)]
 
 
 class TestStrictlyNormal:
@@ -206,6 +216,23 @@ class TestChainCovering:
         for chain in b3.enumerate_maximal_chains():
             assert uniform.chain_weight(chain) == Fraction(1, total)
         assert verify_chain_covering(b3, uniform).holds
+        assert build_chain_covering(b3).g == g
+
+    def test_flow_only_on_non_uniform_pairs(self, monkeypatch):
+        # chains:9,8 has 15 level pairs; only the end pairs 0 and 14 have
+        # constant up-degrees below and constant down-degrees above
+        poset = gen_chain_product([9, 8])
+        pairs = []
+        original = properties.transportation
+
+        def counted(rows, *args):
+            pairs.append(poset.ranks[rows[0]])
+            return original(rows, *args)
+
+        monkeypatch.setattr(properties, "transportation", counted)
+        covering = build_chain_covering(poset)
+        assert pairs == list(range(1, 14))
+        assert verify_chain_covering(poset, covering).holds
 
     def test_builder_on_fig1a(self, fig1a):
         covering = build_chain_covering(fig1a)
