@@ -47,18 +47,23 @@ def gen_boolean(n: int) -> RankedPoset:
     return build_poset(elements, covers, name=f"boolean:{n}", labels=labels)
 
 
-def gen_star_power(k: int, n: int) -> RankedPoset:
-    """n-fold product of a one-bottom, k-top star; rank counts nonzero coordinates.
-
-    Tuples in {0..k}^n with x <= y iff x agrees with y on every nonzero
-    coordinate of x.
-    """
+def _check_star(k: int, n: int) -> None:
+    """Refuse bad star-power arguments, then a star power past the cap."""
     if k < 1 or n < 1:
         raise PosetError("star power needs k >= 1 and n >= 1")
     _check_dimension("star power", n)
     size = (k + 1) ** n
     if size > ELEMENT_CAP:
         raise SizeLimitError(f"star power has {size} elements (> {ELEMENT_CAP})")
+
+
+def gen_star_power(k: int, n: int) -> RankedPoset:
+    """n-fold product of a one-bottom, k-top star; rank counts nonzero coordinates.
+
+    Tuples in {0..k}^n with x <= y iff x agrees with y on every nonzero
+    coordinate of x.
+    """
+    _check_star(k, n)
     tuples = list(iproduct(range(k + 1), repeat=n))
     index = {t: i for i, t in enumerate(tuples)}
     elements = [(i, sum(1 for c in t if c)) for i, t in enumerate(tuples)]
@@ -72,19 +77,23 @@ def gen_star_power(k: int, n: int) -> RankedPoset:
     return build_poset(elements, covers, name=f"star:{k},{n}", labels=labels)
 
 
+def _check_chains(sizes: tuple[int, ...]) -> None:
+    """Refuse bad chain sizes, then a chain product past the cap."""
+    if not sizes or any(s < 1 for s in sizes):
+        raise PosetError("chain sizes must be positive")
+    if list(sizes) != sorted(sizes, reverse=True):
+        raise PosetError("chain sizes must be non-increasing")
+    if math.prod(sizes) > ELEMENT_CAP:
+        raise SizeLimitError(f"chain product has more than {ELEMENT_CAP} elements")
+
+
 def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
     """Product of chains with the given (non-increasing) element counts.
 
     Rank is the coordinate sum.
     """
     sizes = tuple(sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise PosetError("chain sizes must be positive")
-    if list(sizes) != sorted(sizes, reverse=True):
-        raise PosetError("chain sizes must be non-increasing")
-    total = math.prod(sizes)
-    if total > ELEMENT_CAP:
-        raise SizeLimitError(f"chain product has more than {ELEMENT_CAP} elements")
+    _check_chains(sizes)
     tuples = list(iproduct(*(range(s) for s in sizes)))
     index = {t: i for i, t in enumerate(tuples)}
     elements = [(i, sum(t)) for i, t in enumerate(tuples)]
@@ -372,6 +381,66 @@ def _spec_ints(spec: str, tokens: list[str], count: int | None) -> list[int]:
     return args
 
 
+def _trunc_parts(spec: str) -> tuple[str, int, int]:
+    """The inner spec, lo and hi of a trunc(spec,lo,hi) spec."""
+    inner = split_top_level(spec[len("trunc(") : -1])
+    if len(inner) < 3:
+        raise PosetError(f"trunc needs (spec,lo,hi): {spec!r}")
+    lo, hi = _spec_ints(spec, inner[-2:], 2)
+    return ",".join(inner[:-2]), lo, hi
+
+
+def _product_parts(spec: str) -> tuple[str, str]:
+    """The two factor specs of a prod(spec,spec) spec.  Each factor spec is one
+    token that is not an integer, then its integer arguments, so the second
+    factor starts at the only such token after the first."""
+    inner = split_top_level(spec[len("prod(") : -1])
+    cuts = [cut for cut in range(1, len(inner)) if not _is_int(inner[cut])]
+    if len(cuts) != 1:
+        raise PosetError(f"cannot split product spec {spec!r}: it needs two factor specs")
+    return ",".join(inner[: cuts[0]]), ",".join(inner[cuts[0] :])
+
+
+# the checks each generator with a whitney oracle makes before it builds
+_FAMILY_CHECKS = {
+    "boolean": lambda n: _check_dimension("boolean lattice", n),
+    "star": _check_star,
+    "chains": lambda *sizes: _check_chains(sizes),
+    "subspace": lambda n, q: _check_gf_size("subspace", "subspace lattice", n, q),
+    "affine": lambda n, q: _check_gf_size("affine", "affine poset", n, q),
+}
+
+
+def _level_sizes(spec: str) -> list[int] | None:
+    """The level sizes of the poset a spec builds, from `whitney_oracle`
+    through trunc(...) and prod(...), without building it.  None for a kind
+    with no oracle, and for a spec its builder refuses, so that the builder
+    names the fault."""
+    spec = spec.strip()
+    try:
+        if spec.startswith("trunc(") and spec.endswith(")"):
+            inner, lo, hi = _trunc_parts(spec)
+            sizes = _level_sizes(inner)
+            return sizes[lo : hi + 1] if sizes and 0 <= lo < hi < len(sizes) else None
+        if spec.startswith("prod(") and spec.endswith(")"):
+            a, b = map(_level_sizes, _product_parts(spec))
+            if a is None or b is None or sum(a) * sum(b) > ELEMENT_CAP:
+                return None
+            conv = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+            return conv
+        kind, _, argstr = spec.partition(":")
+        if kind not in _FAMILY_CHECKS:
+            return None
+        args = _spec_ints(spec, argstr.split(","), _SPEC_ARITY[kind])
+        _FAMILY_CHECKS[kind](*args)
+    except PosetError:
+        return None
+    return whitney_oracle(kind, args) if kind == "chains" else whitney_oracle(kind, *args)
+
+
 def parse_poset_spec(spec: str) -> RankedPoset:
     """Build a poset from a family spec string.
 
@@ -387,20 +456,16 @@ def parse_poset_spec(spec: str) -> RankedPoset:
     if spec == "fig1b":
         return gen_fig1b()
     if spec.startswith("trunc(") and spec.endswith(")"):
-        inner = split_top_level(spec[len("trunc(") : -1])
-        if len(inner) < 3:
-            raise PosetError(f"trunc needs (spec,lo,hi): {spec!r}")
-        lo, hi = _spec_ints(spec, inner[-2:], 2)
-        return truncate(parse_poset_spec(",".join(inner[:-2])), lo, hi)
+        inner, lo, hi = _trunc_parts(spec)
+        return truncate(parse_poset_spec(inner), lo, hi)
     if spec.startswith("prod(") and spec.endswith(")"):
-        inner = split_top_level(spec[len("prod(") : -1])
-        # each factor spec is one token that is not an integer, then its
-        # integer arguments, so the second factor starts at the only such token
-        cuts = [cut for cut in range(1, len(inner)) if not _is_int(inner[cut])]
-        if len(cuts) != 1:
-            raise PosetError(f"cannot split product spec {spec!r}: it needs two factor specs")
+        parts = _product_parts(spec)
+        # refuse a product past the cap before building factors of known size
+        sizes = [_level_sizes(part) for part in parts]
+        if None not in sizes and math.prod(map(sum, sizes)) > ELEMENT_CAP:
+            raise SizeLimitError("product too large")
         factors = []
-        for part in (",".join(inner[: cuts[0]]), ",".join(inner[cuts[0] :])):
+        for part in parts:
             try:
                 factors.append(parse_poset_spec(part))
             except PosetError as exc:

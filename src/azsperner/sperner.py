@@ -3,7 +3,10 @@ decomposition, LYM sums, exact maximum oracles, and strict-Sperner checks.
 
 The strict verdict on a strictly normal poset is read off the LYM
 certificate (`_lym_certificate`); the search below decides every other input
-and is the certificate's oracle in the tests.
+and is the certificate's oracle in the tests.  The same argument gives the
+maximum antichains of a regular, level-connected (so strictly normal) poset
+from its level sizes: they are its largest levels.  The split-graph matching
+serves every other poset.
 
 The search serves every k through Saks's correspondence (1979) for the
 k-families of Greene and Kleitman (1976): the k-Sperner families of P are the
@@ -202,8 +205,19 @@ def enumerate_maximum_k_sperner(poset: RankedPoset, k: int) -> tuple[int, list[F
 
 
 def enumerate_maximum_antichains(poset: RankedPoset) -> tuple[int, list[Family]]:
-    """All maximum antichains, sorted by id, walked off one split-graph matching
-    (a unique maximum costs just the matching) and certified by its chain cover."""
+    """All maximum antichains, sorted by id.
+
+    A graded poset that is regular and level-connected is strictly normal, so
+    by the strict LYM inequality only a full level reaches LYM sum 1; a maximum
+    antichain, at least as large as every level, reaches it.  Its maxima are
+    therefore its largest levels, read off the level sizes with no pair list
+    or matching, and no cap applies.  Every other poset, up to ORACLE_CAP
+    elements, is walked off one split-graph matching (a unique maximum costs
+    just the matching) and certified by its chain cover.
+    """
+    if poset.is_graded and strictly_normal_fast_path(poset):
+        size = max(poset.whitney)
+        return size, sorted((frozenset(lv) for lv in poset.levels if len(lv) == size), key=sorted)
     if poset.n > ORACLE_CAP:
         raise SizeLimitError(f"{poset.n} elements exceed the cap {ORACLE_CAP}")
     families, chains = enumerate_maximum_antichain_ids(poset.n, _strict_pairs(poset))

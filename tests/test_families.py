@@ -28,6 +28,7 @@ from azsperner.errors import (
     RankOutOfRangeError,
     SizeLimitError,
 )
+import azsperner.families as families
 from azsperner.families import whitney_oracle
 from azsperner.gf import field, gaussian_binomial
 
@@ -318,6 +319,22 @@ class TestSpecParser:
         # three factor specs: no single cut splits them
         with pytest.raises(PosetError, match="needs two factor specs"):
             parse_poset_spec("prod(boolean:1,boolean:1,boolean:1)")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "prod(boolean:14,boolean:14)",
+            "prod(trunc(boolean:14,1,13),chains:4,2)",
+            "prod(prod(star:2,5,boolean:3),subspace:4,3)",
+        ],
+    )
+    def test_product_past_the_cap_is_refused_before_building(self, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no factor should be built")
+
+        monkeypatch.setattr(families, "build_poset", refuse)
+        with pytest.raises(SizeLimitError, match="product too large"):
+            parse_poset_spec(spec)
 
     @pytest.mark.parametrize(
         "spec", ["subspace:2000,2", "affine:3103,3", "trunc(subspace:1200,2,0,1)", "star:2,10000"]

@@ -28,6 +28,7 @@ from azsperner.errors import (
     PosetError,
     SizeLimitError,
 )
+import azsperner.flows as flows
 import azsperner.properties as properties
 import azsperner.sperner as sperner
 from azsperner.sperner import (
@@ -36,6 +37,7 @@ from azsperner.sperner import (
     max_k_sperner_size,
 )
 from test_search_kernels import graded_posets
+from test_twopart import relabelled
 
 
 def level_set(poset, i):
@@ -164,6 +166,54 @@ class TestMaxAntichain:
         poset = parse_poset_spec(spec)
         assert check_strictly_normal(poset).holds
         assert len(max_antichain(poset)) == max(poset.whitney)
+
+
+class TestMaximumAntichainsOfLevels:
+    """Regular, level-connected posets are strictly normal: their maximum
+    antichains are their largest levels, found with no matching."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(f"boolean:{n}" for n in range(1, 7)),
+            "subspace:3,2",
+            "subspace:4,2",
+            "star:2,3",
+            "affine:3,2",
+            "trunc(boolean:6,1,5)",
+            "chains:1",
+            "chains:9",
+        ],
+    )
+    def test_equal_the_matching(self, monkeypatch, spec):
+        base = parse_poset_spec(spec)
+        for poset in (base, relabelled(base, 1)[0], relabelled(base, 2)[0]):
+            assert poset.is_graded and sperner.strictly_normal_fast_path(poset)
+            answer = enumerate_maximum_antichains(poset)
+            with monkeypatch.context() as patch:
+                patch.setattr(sperner, "strictly_normal_fast_path", lambda poset: False)
+                assert answer == enumerate_maximum_antichains(poset)
+
+    def test_tall_chain_needs_no_matching(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no matching expected")
+
+        monkeypatch.setattr(flows, "_hopcroft_karp", refuse)
+        monkeypatch.setattr(sperner, "_strict_pairs", refuse)
+        size, families = enumerate_maximum_antichains(gen_chain_product([1999]))
+        assert (size, len(families)) == (1, 1999)
+        assert families == [frozenset({x}) for x in range(1999)]
+
+    def test_past_the_oracle_cap(self):
+        b11 = gen_boolean(11)
+        assert b11.n > sperner.ORACLE_CAP
+        size, families = enumerate_maximum_antichains(b11)
+        assert (size, families) == (462, sorted(map(frozenset, b11.levels[5:7]), key=sorted))
+        # a non-regular poset past the cap still goes to the matching, which refuses it
+        tall = gen_chain_product([1001, 2])
+        assert tall.n > sperner.ORACLE_CAP and not sperner.strictly_normal_fast_path(tall)
+        with pytest.raises(SizeLimitError):
+            enumerate_maximum_antichains(tall)
 
 
 class TestStrictSperner:
