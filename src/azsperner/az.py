@@ -5,7 +5,12 @@ any member of A below x.  Summing W_A(x)/(d-(x) N_rank(x)) over a regular
 U-poset gives exactly 1 for every nonempty family A; the other identities
 here (the bounded extension to regular posets, the antichain and k-Sperner
 splits, and the skew-pair identity with its beta terms) refine that sum.
-All arithmetic is in Fraction; verdicts are equalities, never tolerances.
+
+On a regular graded poset the W sum over each level of the upset U(A) comes
+from two level popcounts and the per-rank degrees, so a verdict walks no
+element outside the skew-pair intervals; other posets, and the per-element W
+values, walk the upset boundary.  All arithmetic is in int and Fraction;
+verdicts are equalities, never tolerances.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from .core import RankedPoset, build_poset, family
@@ -21,12 +27,11 @@ from .errors import (
     IntervalOverlapError,
     NotAntichainError,
     NotKSpernerError,
-    NotRegularError,
     NotUPosetError,
     PosetError,
     SkewViolationError,
 )
-from .properties import LambdaTable, check_regular, degree_profile, lambda_table
+from .properties import LambdaTable, degree_profile, lambda_table
 from .sperner import dual_dilworth_decompose, is_k_sperner, lym_sum
 
 
@@ -38,12 +43,13 @@ def _ids(mask: int) -> list[int]:
 def _boundary_w(
     poset: RankedPoset, up: int, region: int
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """W over a region of an upset U(A), read off the upset boundary.
+    """W over a region of an upset U(A), walked one element at a time.
 
     For x in U(A), W_A(x) is the number of lower covers of x outside U(A): a
     lower cover above some a in A lies above a member of A^x.  Returns
     ({x: W(x)} for the x in region with W(x) > 0, {d-(x) N_rank(x): sum of
-    those W}); region must lie inside up.
+    those W}); region must lie inside up.  The identity sums go through
+    _w_sums, which walks only where the level closed form does not apply.
     """
     outside = ~up
     covers = poset.down_cover_mask
@@ -59,17 +65,47 @@ def _boundary_w(
     return w_of, by_denominator
 
 
+def _w_sums(poset: RankedPoset, up: int, cut: int = 0) -> dict[int, int]:
+    """{d-(x) N_rank(x): sum of W(x)} over U(A) minus cut, for the upset up = U(A).
+
+    On a regular graded poset every upper cover of a y in U(A) lies in U(A),
+    so the covers from U(A) into rank r number d+_{r-1} |U(A) & L_{r-1}|, and
+    the W sum over U(A) & L_r is d-_r |U(A) & L_r| minus that: two popcounts
+    per rank.  The part inside cut is then walked and taken off.  Any other
+    poset walks U(A) minus cut.
+    """
+    if not poset.is_graded or poset.irregular_pair is not None:
+        return _boundary_w(poset, up, up & ~cut)[1]
+    denominators = poset.identity_denominator
+    down, upper = poset.down_adj, poset.up_adj
+    sums: dict[int, int] = {}
+    entering = 0  # the covers from U(A) into the current rank
+    for level, mask in zip(poset.levels, poset.level_mask):
+        x = level[0]
+        count = (up & mask).bit_count()
+        w = len(down[x]) * count - entering
+        entering = len(upper[x]) * count
+        if w:
+            d = denominators[x]
+            sums[d] = sums.get(d, 0) + w
+    if up & cut:
+        for d, w in _boundary_w(poset, up, up & cut)[1].items():
+            sums[d] -= w
+    return sums
+
+
 def _exact_sum(by_denominator: dict[int, int]) -> Fraction:
-    """The sum of w/d over a {d: w} table, one Fraction per denominator."""
-    return sum((Fraction(w, d) for d, w in by_denominator.items()), Fraction(0))
+    """The sum of w/d over a {d: w} table: one Fraction over the lcm of the d."""
+    common = lcm(*by_denominator)
+    return Fraction(sum(w * (common // d) for d, w in by_denominator.items()), common)
 
 
 def compute_w(poset: RankedPoset, fam: Iterable[int], x: int) -> int:
     """W_A(x): lower covers of x not above any member of A^x = {a in A : a <= x}.
 
     Zero when A^x is empty.  For x in an antichain A this equals d-(x).
-    The identity kernels compute W for every x at once; this is the paper's
-    single-element W_A(x), as the README documents it.
+    The identity sums read W off level popcounts or one walk of the upset;
+    this is the paper's single-element W_A(x), as the README documents it.
     """
     up = poset.upset_mask(family(poset, fam))
     (x,) = family(poset, [x])
@@ -103,15 +139,20 @@ class AZTerm(NamedTuple):
 class AZReport:
     """The exact identity total, and what the per-element terms are built from.
 
-    A verdict reads only total; terms are built on first read and cached.
-    Equality and hashing go by (total, terms).
+    A verdict reads only total; w_of is walked from the upset, and terms built
+    from it, on first read, and both are cached.  Equality and hashing go by
+    (total, terms).
     """
 
     total: Fraction
     poset: RankedPoset = field(repr=False)
     family: frozenset[int] = field(repr=False)
     upset: int = field(repr=False)
-    w_of: dict[int, int] = field(repr=False)  # {x: W(x)} for the x with W(x) > 0
+
+    @cached_property
+    def w_of(self) -> dict[int, int]:
+        """{x: W(x)} for the x with W(x) > 0."""
+        return _boundary_w(self.poset, self.upset, self.upset)[0]
 
     @cached_property
     def terms(self) -> tuple[AZTerm, ...]:
@@ -164,10 +205,9 @@ def az_identity_sum(poset: RankedPoset, fam: Iterable[int]) -> AZReport:
     if not ids:
         raise EmptyFamilyError("the identity needs a nonempty family")
     up = poset.upset_mask(ids)
-    w_of, by_denominator = _boundary_w(poset, up, up)
     (bottom,) = poset.levels[0]
-    total = _exact_sum(by_denominator) + int(bottom in ids)
-    return AZReport(total=total, poset=poset, family=ids, upset=up, w_of=w_of)
+    total = _exact_sum(_w_sums(poset, up)) + int(bottom in ids)
+    return AZReport(total=total, poset=poset, family=ids, upset=up)
 
 
 def key_lemma_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:
@@ -177,18 +217,17 @@ def key_lemma_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:
     outside the upset of A, W_A(x)/(d- N) elsewhere, and 0 on the remaining
     bottom-level elements; the total is exactly 1 on every regular poset.
     """
-    if not check_regular(poset).holds:
-        raise NotRegularError(f"{poset.name} is not regular")
+    degree_profile(poset)  # raises unless the poset is graded and regular
     ids = family(poset, fam)
     if not ids:
         raise EmptyFamilyError("the identity needs a nonempty family")
     up = poset.upset_mask(ids)
-    _, by_denominator = _boundary_w(poset, up, up)
+    by_denominator = _w_sums(poset, up)
     # bottom-level members weigh 1/N_0 and top-level elements outside U(A) 1/N_top;
     # the two sets are disjoint even when the height is 0
     top = poset.height
     for count, d in (
-        (sum(poset.ranks[a] == 0 for a in ids), poset.whitney[0]),
+        (len(ids.intersection(poset.levels[0])), poset.whitney[0]),
         ((poset.level_mask[top] & ~up).bit_count(), poset.whitney[top]),
     ):
         by_denominator[d] = by_denominator.get(d, 0) + count
@@ -239,8 +278,11 @@ def antichain_az(
 ) -> tuple[Fraction, Fraction]:
     """Split the identity over an antichain: (LYM part, boundary remainder).
 
-    Family members contribute exactly 1/N_rank; the parts sum to 1 on a
-    regular U-poset, which is the exact form of the LYM inequality.
+    Family members contribute exactly 1/N_rank: a member's lower covers all
+    lie outside U(A), so W(a) = d-(a), and the bottom convention's 1 is 1/N_0
+    on a U-poset.  The LYM part is therefore lym_sum, with no walk.  The parts
+    sum to 1 on a regular U-poset, which is the exact form of the LYM
+    inequality.
     """
     ids = family(poset, fam)
     if not poset.is_antichain(ids):
@@ -250,11 +292,9 @@ def antichain_az(
     if not ids:
         raise EmptyFamilyError("the identity needs a nonempty family")
     up = poset.upset_mask(ids)
-    bottom_in = poset.levels[0][0] in ids
-    _, everywhere = _boundary_w(poset, up, up)
-    _, in_family = _boundary_w(poset, up, sum(1 << a for a in ids))
-    lym_part = _exact_sum(in_family) + int(bottom_in)
-    return lym_part, _exact_sum(everywhere) + int(bottom_in) - lym_part
+    lym_part = lym_sum(poset, ids)
+    everywhere = _exact_sum(_w_sums(poset, up)) + int(poset.levels[0][0] in ids)
+    return lym_part, everywhere - lym_part
 
 
 def k_sperner_az(poset: RankedPoset, fam: Iterable[int], k: int) -> Fraction:
@@ -308,18 +348,15 @@ def beta(poset: RankedPoset, table: LambdaTable, k: int, l: int) -> Fraction:
     if not 0 <= k <= l <= poset.height:
         raise PosetError(f"need 0 <= k <= l <= {poset.height}")
     d_minus, _ = degree_profile(poset)
-    total = Fraction(0)
-    for j in range(l - k + 1):
-        i = k + j
+    by_denominator: dict[int, int] = {}
+    for i in range(k, l + 1):
         lam = table.get(i, k, l)
         if i == 0:
-            total += Fraction(lam, poset.whitney[0])
-            continue
-        total += Fraction(
-            lam * (d_minus[i] - table.get(i - 1, k, i)),
-            d_minus[i] * poset.whitney[i],
-        )
-    return total
+            w, d = lam, poset.whitney[0]
+        else:
+            w, d = lam * (d_minus[i] - table.get(i - 1, k, i)), d_minus[i] * poset.whitney[i]
+        by_denominator[d] = by_denominator.get(d, 0) + w
+    return _exact_sum(by_denominator)
 
 
 @dataclass(frozen=True)
@@ -385,8 +422,7 @@ def second_az_identity(
     )
     up = poset.upset_mask(a for a, _ in system.pairs)
     below = poset.downset_mask(b for _, b in system.pairs)
-    _, by_denominator = _boundary_w(poset, up, up & ~below)
-    boundary = _exact_sum(by_denominator)
+    boundary = _exact_sum(_w_sums(poset, up, cut=below))
     return SkewIdentityReport(
         total=sum(betas, Fraction(0)) + boundary,
         betas=betas,

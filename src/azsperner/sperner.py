@@ -103,9 +103,12 @@ def dual_dilworth_decompose(poset: RankedPoset, fam: Iterable[int]) -> list[Fami
 
 
 def lym_sum(poset: RankedPoset, fam: Iterable[int]) -> Fraction:
-    """Exact sum of 1/N_rank over the family."""
+    """Exact sum of 1/N_rank over the family, one Fraction per rank."""
+    counts = [0] * (poset.height + 1)
+    for x in family(poset, fam):
+        counts[poset.ranks[x]] += 1
     return sum(
-        (Fraction(1, poset.whitney[poset.ranks[x]]) for x in family(poset, fam)), Fraction(0)
+        (Fraction(c, n) for c, n in zip(counts, poset.whitney) if c), Fraction(0)
     )
 
 

@@ -25,10 +25,12 @@ from azsperner import (
     key_lemma_sum,
     lambda_table,
     lym_sum,
+    parse_poset_spec,
     second_az_identity,
     two_part_az_sum,
 )
-from azsperner.az import AZTerm, _boundary_w, _exact_sum
+from azsperner.acceptance import _sample_skew_system
+from azsperner.az import AZTerm, _boundary_w, _exact_sum, _w_sums
 from azsperner.core import family
 from azsperner.errors import (
     EmptyFamilyError,
@@ -39,6 +41,7 @@ from azsperner.errors import (
     PosetError,
     SkewViolationError,
 )
+from test_twopart import relabelled
 
 
 def ids(poset, labels):
@@ -200,6 +203,27 @@ class TestLazyTerms:
         assert sum(type(t) is Marked for t in terms) == b4.n
         assert report.terms is terms  # cached
 
+    def test_total_walks_nothing(self, b4, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _boundary_w(*args)
+
+        monkeypatch.setattr(az, "_boundary_w", counted)
+        report = az_identity_sum(b4, [1, 6])
+        assert report.total == 1 and not calls
+        assert "w_of" not in vars(report) and "terms" not in vars(report)
+        up = b4.upset_mask([1, 6])
+        total, terms = eager_identity(b4, [1, 6])
+        assert report.w_of == _boundary_w(b4, up, up)[0]
+        assert report.terms == terms and report.total == total
+        assert len(calls) == 1  # w_of is walked once, and terms reuse it
+        bad = dataclasses.replace(report, total=Fraction(5, 4))
+        assert bad.total == Fraction(5, 4) and bad.w_of == report.w_of
+        again = az_identity_sum(b4, [6, 1])
+        assert again == report and hash(again) == hash(report) and bad != report
+
     def test_replace_keeps_terms(self, b3):
         report = az_identity_sum(b3, [1, 6])
         bad = dataclasses.replace(report, total=Fraction(5, 4))
@@ -219,6 +243,121 @@ class TestLazyTerms:
         assert az_identity_sum(gen_boolean(3), [1, 6]) == a
         assert a != az_identity_sum(fig1a, [0])
         assert a != (a.total, a.terms)
+
+
+def walked_sums(poset, up, cut=0):
+    """Oracle: the nonzero per-denominator W sums over U(A) minus cut, walked."""
+    return _boundary_w(poset, up, up & ~cut)[1]
+
+
+def nonzero(sums):
+    return {d: w for d, w in sums.items() if w}
+
+
+def with_walk(fn, *args):
+    """fn(*args) with every identity sum walked, as before the level closed form."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(az, "_w_sums", walked_sums)
+        return fn(*args)
+
+
+def walk_calls(fn, *args):
+    """fn(*args), and the number of _boundary_w walks it made."""
+    calls = []
+
+    def counted(*walk_args):
+        calls.append(walk_args)
+        return _boundary_w(*walk_args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(az, "_boundary_w", counted)
+        return fn(*args), len(calls)
+
+
+# regular graded posets, with and without universal bounds, and relabelled copies
+_REGULAR_BASES = [gen_boolean(n) for n in range(1, 7)] + [
+    parse_poset_spec(spec)
+    for spec in (
+        "subspace:3,2",
+        "subspace:4,2",
+        "subspace:3,3",
+        "star:2,3",
+        "affine:2,3",
+        "trunc(boolean:5,1,4)",
+    )
+]
+REGULAR_POSETS = _REGULAR_BASES + [
+    relabelled(p, seed)[0] for p in _REGULAR_BASES for seed in (1, 2)
+]
+B6 = gen_boolean(6)
+
+
+@st.composite
+def regular_families(draw):
+    poset = draw(st.sampled_from(REGULAR_POSETS))
+    fam = draw(st.sets(st.integers(min_value=0, max_value=poset.n - 1), min_size=1))
+    return poset, frozenset(fam)
+
+
+class TestLevelClosedForm:
+    @given(regular_families())
+    @settings(max_examples=200, deadline=None)
+    def test_popcounts_equal_the_walk(self, case):
+        poset, fam = case
+        up = poset.upset_mask(fam)
+        sums, walks = walk_calls(_w_sums, poset, up)
+        assert walks == 0
+        assert nonzero(sums) == walked_sums(poset, up)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_skew_cut_equals_the_walk(self, seed):
+        system = _sample_skew_system(B6, random.Random(seed))
+        up = B6.upset_mask(a for a, _ in system.pairs)
+        below = B6.downset_mask(b for _, b in system.pairs)
+        assert nonzero(_w_sums(B6, up, below)) == walked_sums(B6, up, below)
+        report = second_az_identity(B6, system)
+        assert report.total == 1
+        assert report == with_walk(second_az_identity, B6, system)
+
+    @given(regular_families())
+    @settings(max_examples=150, deadline=None)
+    def test_identity_totals_unchanged(self, case):
+        poset, fam = case
+        assert key_lemma_sum(poset, fam) == with_walk(key_lemma_sum, poset, fam) == 1
+        if not poset.is_u_poset:
+            return
+        report = az_identity_sum(poset, fam)
+        assert report.total == with_walk(az_identity_sum, poset, fam).total == 1
+        antichain = set()
+        for x in sorted(fam):
+            if poset.is_antichain(antichain | {x}):
+                antichain.add(x)
+        lym, rem = antichain_az(poset, antichain)
+        assert (lym, rem) == with_walk(antichain_az, poset, antichain)
+        assert lym == sum((Fraction(1, poset.whitney[poset.ranks[a]]) for a in antichain), Fraction(0))
+        assert lym + rem == 1
+
+    def test_irregular_posets_take_the_walk(self, fig1a, c322):
+        report, walks = walk_calls(az_identity_sum, fig1a, ids(fig1a, ["a", "c"]))
+        assert walks == 1 and report.total == Fraction(5, 4)
+        rng = random.Random(41)
+        for poset in (fig1a, c322):
+            for _ in range(20):
+                fam = frozenset(rng.sample(range(poset.n), rng.randint(1, poset.n)))
+                up = poset.upset_mask(fam)
+                sums, walks = walk_calls(_w_sums, poset, up)
+                assert walks == 1 and sums == walked_sums(poset, up)
+
+    def test_fig1b_is_regular_and_takes_the_closed_form(self, fig1b):
+        # fig1b has the degrees of a regular poset, so the closed form applies
+        rng = random.Random(43)
+        for _ in range(20):
+            fam = frozenset(rng.sample(range(fig1b.n), rng.randint(1, fig1b.n)))
+            up = fig1b.upset_mask(fam)
+            sums, walks = walk_calls(_w_sums, fig1b, up)
+            assert walks == 0 and nonzero(sums) == walked_sums(fig1b, up)
+            assert az_identity_sum(fig1b, fam) == with_walk(az_identity_sum, fig1b, fam)
 
 
 def walked_two_part(p, q, fam):
