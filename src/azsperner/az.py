@@ -347,7 +347,11 @@ def beta(poset: RankedPoset, table: LambdaTable, k: int, l: int) -> Fraction:
     """
     if not 0 <= k <= l <= poset.height:
         raise PosetError(f"need 0 <= k <= l <= {poset.height}")
-    d_minus, _ = degree_profile(poset)
+    return _beta(poset, table, degree_profile(poset)[0], k, l)
+
+
+def _beta(poset: RankedPoset, table: LambdaTable, d_minus: list[int], k: int, l: int) -> Fraction:
+    """`beta` with the lower degrees per rank already read."""
     by_denominator: dict[int, int] = {}
     for i in range(k, l + 1):
         lam = table.get(i, k, l)
@@ -417,8 +421,9 @@ def second_az_identity(
     if table is None:
         table = lambda_table(poset)
     system.validate(poset)
+    d_minus, _ = degree_profile(poset)
     betas = tuple(
-        beta(poset, table, poset.ranks[a], poset.ranks[b]) for a, b in system.pairs
+        _beta(poset, table, d_minus, poset.ranks[a], poset.ranks[b]) for a, b in system.pairs
     )
     up = poset.upset_mask(a for a, _ in system.pairs)
     below = poset.downset_mask(b for _, b in system.pairs)

@@ -1,22 +1,22 @@
-"""Integer max-flow and bipartite-matching helpers in plain Python.
+"""Integer max-flow and minimum-flow helpers in plain Python.
 
 Capacities are integers throughout, so flow values are exact.  One Dinic
 max-flow over a level pair (``level_pair_flow``) serves both the covering
 construction and the normality check.
 
-The Dilworth readers each solve one Hopcroft-Karp matching on the split
-graph (``_dilworth``) and read everything off it: ``minimum_chain_cover``
-returns the chain partition, ``maximum_antichain_ids`` the Koenig antichain
-with that partition, and ``enumerate_maximum_antichain_ids`` every maximum
-antichain, through an SCC condensation, with that partition.  An antichain
-with one element per chain is maximum, which is the certificate the callers
-check.
+The Dilworth readers each solve one minimum flow (``_MinFlow``) on a DAG
+given by successor lists, such as a poset's covers: O(elements + arcs) work,
+not a pass over the strict pairs.  Its paths are a minimum chain cover, and
+its minimum cuts the maximum antichains.  An antichain with one element per
+chain of a cover is maximum, which is the certificate the callers check.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from itertools import accumulate
+from typing import Hashable, Iterable, Sequence
 
+from .core import _ids_of
 from .errors import SizeLimitError
 
 # maxima x elements an enumeration may list, for its time and memory
@@ -188,212 +188,209 @@ def matching_min_cut_side(
     return False, cut_rows
 
 
-def _hopcroft_karp(n_left: int, n_right: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Maximum bipartite matching; returns (pair_left, pair_right) with -1 for free."""
-    INF = float("inf")
-    pair_l = [-1] * n_left
-    pair_r = [-1] * n_right
-    dist = [0] * n_left
+class _MinFlow:
+    """Minimum flow through the split network of a DAG (Ntafos and Hakimi 1979).
 
-    def bfs() -> bool:
-        from collections import deque
-
-        queue = deque()
-        for u in range(n_left):
-            if pair_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = pair_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def augment(root: int) -> None:
-        """Layered DFS without recursion; a frame is [u, index of the neighbor tried]."""
-        frames = [[root, 0]]
-        while frames:
-            frame = frames[-1]
-            u, i = frame
-            nbrs = adj[u]
-            while i < len(nbrs):
-                w = pair_r[nbrs[i]]
-                if w == -1 or dist[w] == dist[u] + 1:
-                    break
-                i += 1
-            frame[1] = i
-            if i == len(nbrs):
-                dist[u] = INF
-                frames.pop()
-                if frames:
-                    frames[-1][1] += 1
-            elif pair_r[nbrs[i]] == -1:
-                for x, j in frames:  # flip the augmenting path
-                    v = adj[x][j]
-                    pair_l[x] = v
-                    pair_r[v] = x
-                return
-            else:
-                frames.append([pair_r[nbrs[i]], 0])
-
-    while bfs():
-        for u in range(n_left):
-            if pair_l[u] == -1:
-                augment(u)
-    return pair_l, pair_r
-
-
-def _dilworth(
-    n: int, strict_pairs: Iterable[tuple[int, int]]
-) -> tuple[list[list[int]], list[int], list[int], list[list[int]]]:
-    """One Hopcroft-Karp solve on the split graph, with the chains it matches.
-
-    The split graph joins x_L to y_R for every strict pair x < y.  Returns
-    (adj, pair_l, pair_r, chains): following pair_l up from each element with
-    no matched predecessor gives a minimum chain cover of n - |matching|
-    chains (Dilworth via matching).
+    x becomes x_in -> x_out with lower bound 1, beside s -> x_in, x_out -> t
+    and x_out -> y_in for each arc x -> y; no arc has a capacity.  A flow is a
+    cover by paths that may share elements, so the minimum is the width of the
+    order the arcs generate.  A greedy cover (each walk steps to an uncovered
+    successor while one exists) is cut down along t -> s residual paths.
+    Nodes: x_in is x, x_out is n + x.  Arc k runs tails[k] -> heads[k] with
+    flow[k]; first[x] .. first[x + 1] - 1 leave x and into[y] enter y.  start
+    and through are the flows on s -> x_in and x_in -> x_out; reach marks the
+    nodes the final residual reaches from t.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in strict_pairs:
-        adj[a].append(b)
-    pair_l, pair_r = _hopcroft_karp(n, n, adj)
-    chains = []
-    for x in range(n):
-        if pair_r[x] == -1:
-            chain = [x]
-            while pair_l[chain[-1]] != -1:
-                chain.append(pair_l[chain[-1]])
-            chains.append(chain)
-    return adj, pair_l, pair_r, chains
 
+    def __init__(self, succ: Sequence[Sequence[int]]):
+        n = len(succ)
+        first = self.first = list(accumulate(map(len, succ), initial=0))
+        heads = self.heads = [y for ys in succ for y in ys]
+        tails = self.tails = [x for x, ys in enumerate(succ) for _ in ys]
+        into = self.into = [[] for _ in range(n)]
+        for k, y in enumerate(heads):
+            into[y].append(k)
+        order = [y for y in range(n) if not into[y]]  # Kahn (1962): a topological order
+        missing = [len(arcs) for arcs in into]
+        for x in order:
+            for y in succ[x]:
+                missing[y] -= 1
+                if not missing[y]:
+                    order.append(y)
 
-def maximum_antichain_ids(
-    n: int, strict_pairs: Iterable[tuple[int, int]]
-) -> tuple[frozenset[int], list[list[int]]]:
-    """A maximum antichain of an n-element order given all strict pairs a < b,
-    and a minimum chain cover read off the same matching.
+        flow = self.flow = [0] * len(heads)
+        start = self.start = [0] * n
+        through = self.through = [0] * n
+        end = [0] * n
+        for x in order:
+            if not through[x]:
+                start[x] = through[x] = 1
+                k = first[x]
+                while k < first[x + 1]:
+                    y = heads[k]
+                    if through[y]:
+                        k += 1
+                    else:
+                        flow[k] = through[y] = 1
+                        x, k = y, first[y]
+                end[x] = 1
 
-    The antichain is the set of elements missed by the Koenig vertex cover
-    of the split graph: alternating reachability Z from free left vertices
-    gives the cover (L minus Z) plus (R in Z), and the antichain takes x with
-    x_L in Z and x_R out of Z.  It has one element per chain of the cover.
-    """
-    adj, pair_l, pair_r, chains = _dilworth(n, strict_pairs)
-    in_z_left = [False] * n
-    in_z_right = [False] * n
-    stack = [u for u in range(n) if pair_l[u] == -1]
-    for u in stack:
-        in_z_left[u] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if pair_l[u] == v:
-                continue
-            if not in_z_right[v]:
-                in_z_right[v] = True
-                w = pair_r[v]
-                if w != -1 and not in_z_left[w]:
-                    in_z_left[w] = True
-                    stack.append(w)
-    antichain = frozenset(x for x in range(n) if in_z_left[x] and not in_z_right[x])
-    return antichain, chains
+        # Each pass searches the residual from every path end not yet marked;
+        # reaching a path start cancels one unit along the way back.  Marks
+        # last the pass, so a pass that cancels nothing marks what t reaches.
+        # In the residual x_in -> x_out and x_out -> y_in always run forward,
+        # and an arc runs backward while its flow is above its lower bound.
+        parent = [0] * (2 * n)
+        via = [0] * (2 * n)  # the arc a node was reached along, -1 for x_in <-> x_out
+        cancelled = True
+        while cancelled:
+            reach = self.reach = bytearray(2 * n)
+            cancelled = False
+            for root in range(n, 2 * n):
+                if not end[root - n] or reach[root]:
+                    continue
+                reach[root] = 1
+                parent[root] = -1
+                stack = [root]
+                while stack:
+                    v = stack.pop()
+                    if v >= n:
+                        x = v - n
+                        if through[x] > 1 and not reach[x]:
+                            reach[x], parent[x], via[x] = 1, v, -1
+                            stack.append(x)
+                        for k in range(first[x], first[x + 1]):
+                            y = heads[k]
+                            if not reach[y]:
+                                reach[y], parent[y], via[y] = 1, v, k
+                                stack.append(y)
+                    elif start[v]:
+                        start[v] -= 1
+                        while parent[v] >= 0:
+                            if via[v] >= 0:
+                                flow[via[v]] += 1 if v < n else -1
+                            else:
+                                through[v % n] += 1 if v >= n else -1
+                            v = parent[v]
+                        end[v - n] -= 1
+                        cancelled = True
+                        break
+                    else:
+                        out = n + v
+                        if not reach[out]:
+                            reach[out], parent[out], via[out] = 1, v, -1
+                            stack.append(out)
+                        for k in into[v]:
+                            w = n + tails[k]
+                            if flow[k] and not reach[w]:
+                                reach[w], parent[w], via[w] = 1, v, k
+                                stack.append(w)
 
+    def chains(self) -> list[list[int]]:
+        """The paths of a flow decomposition: one chain per unit leaving s."""
+        first, heads, left = self.first, self.heads, self.flow[:]
+        chains = []
+        for x, units in enumerate(self.start):
+            for _ in range(units):
+                chain = [x]
+                k = first[x]
+                while k < first[chain[-1] + 1]:
+                    if left[k]:
+                        left[k] -= 1
+                        chain.append(heads[k])
+                        k = first[heads[k]]
+                    else:
+                        k += 1
+                chains.append(chain)
+        return chains
 
-def minimum_chain_cover(
-    n: int, strict_pairs: Iterable[tuple[int, int]]
-) -> list[list[int]]:
-    """Partition 0..n-1 into the fewest chains (Dilworth via matching)."""
-    return _dilworth(n, strict_pairs)[3]
-
-
-def enumerate_maximum_antichain_ids(
-    n: int, strict_pairs: Iterable[tuple[int, int]]
-) -> tuple[list[frozenset[int]], list[list[int]]]:
-    """All maximum antichains, sorted, and a minimum chain cover, off one matching.
-
-    Maximum antichains correspond to minimum vertex covers, which pick one
-    endpoint per matched edge subject to implications from the non-matching
-    edges.  SCC-condensing the implication digraph and walking its closed
-    sets makes the enumeration output-linear, so a unique maximum costs one
-    matching, never a search.  Each maximum is decoded as soon as the walk
-    finds it; listing more than ``LISTING_CAP`` maxima x elements raises a
-    SizeLimitError.
-    """
-    adj, pair_l, pair_r, chains = _dilworth(n, strict_pairs)
-    edges = [u for u in range(n) if pair_l[u] != -1]  # edge id = left endpoint
-    edge_index = {u: i for i, u in enumerate(edges)}
-    m = len(edges)
-
-    # pick_left[i] == True puts the left endpoint of matched edge i in the cover
-    implies: list[set[int]] = [set() for _ in range(m)]  # arc a -> b: a left => b left
-    forced_true: set[int] = set()
-    forced_false: set[int] = set()
-    for u in range(n):
-        for v in adj[u]:
-            if pair_l[u] == v:
-                continue
-            eu = edge_index.get(u)
-            ev = edge_index.get(pair_r[v])
-            if eu is None and ev is None:
-                raise RuntimeError("matching is not maximum")
-            if eu is None:
-                forced_false.add(ev)  # free left endpoint: v must be covered
-            elif ev is None:
-                forced_true.add(eu)  # free right endpoint: u must be covered
+    def antichains(self) -> list[frozenset[int]]:
+        """Every maximum antichain, sorted, one per minimum cut (Picard and
+        Queyranne 1980): its t side T is closed in the final residual, holds
+        what t reaches and nothing that reaches a path start.  The walk takes
+        the SCCs of the nodes left in topological order, adding an SCC with
+        all it reaches as bitmasks.  Over ``LISTING_CAP`` maxima x elements
+        raise a SizeLimitError before any is decoded.
+        """
+        first, heads, tails, into = self.first, self.heads, self.tails, self.into
+        flow, through, reach, n = self.flow, self.through, self.reach, len(self.start)
+        blocked = bytearray(2 * n)  # nodes that reach a path start
+        stack = [y for y in range(n) if self.start[y]]
+        while stack:
+            v = stack.pop()
+            if not blocked[v]:
+                blocked[v] = 1
+                if v < n:
+                    stack += [n + tails[k] for k in into[v]] + [n + v] * (through[v] > 1)
+                else:
+                    x = v - n
+                    stack += [x] + [heads[k] for k in range(first[x], first[x + 1]) if flow[k]]
+        free = [v for v in range(2 * n) if not reach[v] and not blocked[v]]
+        local = {v: i for i, v in enumerate(free)}
+        residual = []
+        for v in free:
+            if v < n:
+                succ = [n + v] + [n + tails[k] for k in into[v] if flow[k]]
             else:
-                implies[ev].add(eu)
+                succ = [v - n] * (through[v - n] > 1) + heads[first[v - n] : first[v - n + 1]]
+            residual.append([local[w] for w in succ if w in local])
 
-    members = _topological_sccs(implies)  # edge id -> scc id, arcs go up
-    n_sccs = max(members, default=-1) + 1
-    preds: list[set[int]] = [set() for _ in range(n_sccs)]
-    succs: list[set[int]] = [set() for _ in range(n_sccs)]
-    for a in range(m):
-        for b in implies[a]:
-            if members[a] != members[b]:
-                preds[members[b]].add(members[a])
-                succs[members[a]].add(members[b])
-    scc_true = {members[e] for e in forced_true}
-    scc_false = {members[e] for e in forced_false}
-    # forward-close the trues, backward-close the falses
-    for s in range(n_sccs):
-        if s in scc_true or not scc_true.isdisjoint(preds[s]):
-            scc_true.add(s)
-    for s in reversed(range(n_sccs)):
-        if s in scc_false or not scc_false.isdisjoint(succs[s]):
-            scc_false.add(s)
-    if scc_true & scc_false:
-        raise RuntimeError("inconsistent cover constraints")
+        members = _topological_sccs(residual)  # free node -> scc id, arcs go up
+        n_sccs = max(members, default=-1) + 1
+        # above[c]: the SCCs c reaches; nodes_above[c]: their nodes, as bitmasks
+        above = [1 << c for c in range(n_sccs)]
+        nodes_above = [0] * n_sccs
+        for i, c in enumerate(members):
+            nodes_above[c] |= 1 << free[i]
+        for i in sorted(range(len(free)), key=members.__getitem__, reverse=True):
+            c = members[i]
+            for d in {members[j] for j in residual[i]} - {c}:
+                above[c] |= above[d]
+                nodes_above[c] |= nodes_above[d]
 
-    # the SCCs of the matched edges at x_L and x_R (unmatched: -1, never True,
-    # and n_sccs, always True); x is in the antichain iff the cover takes neither
-    left = [members[edge_index[x]] if pair_l[x] != -1 else -1 for x in range(n)]
-    right = [left[pair_r[x]] if pair_r[x] != -1 else n_sccs for x in range(n)]
-    antichains: list[frozenset[int]] = []
-    stack: list[tuple[int, set[int]]] = [(0, scc_true | {n_sccs})]
-    while stack:
-        start, true_sccs = stack.pop()
-        for s in range(start, n_sccs):
-            if s in true_sccs or not true_sccs.isdisjoint(preds[s]):
-                true_sccs.add(s)
-            elif s not in scc_false:
-                stack.append((s + 1, set(true_sccs)))  # branch with s False
-                true_sccs.add(s)
-        if (len(antichains) + 1) * n > LISTING_CAP:
-            raise SizeLimitError(
-                f"over {len(antichains)} maximum antichains of {n} elements (cap {LISTING_CAP})"
-            )
-        antichains.append(frozenset(
-            x for x in range(n) if left[x] not in true_sccs and right[x] in true_sccs
-        ))
-    return sorted(antichains, key=sorted), chains
+        every = (1 << n_sccs) - 1
+        masks: list[int] = []
+        stack = [(0, sum(1 << v for v in range(2 * n) if reach[v]), 0)]
+        while stack:
+            in_t, nodes, lowest = stack.pop()
+            rest = (every & ~in_t) >> lowest
+            while rest:
+                c = lowest + (rest & -rest).bit_length() - 1
+                stack.append((in_t, nodes, c + 1))  # branch with c outside T
+                in_t |= above[c]
+                nodes |= nodes_above[c]
+                lowest = c + 1
+                rest = (every & ~in_t) >> lowest
+            if (len(masks) + 1) * n > LISTING_CAP:
+                raise SizeLimitError(
+                    f"over {len(masks)} maximum antichains of {n} elements (cap {LISTING_CAP})"
+                )
+            masks.append(nodes >> n & ~nodes)
+        return sorted(map(_ids_of, masks), key=sorted)
+
+
+def maximum_antichain_ids(succ: Sequence[Sequence[int]]) -> tuple[frozenset[int], list[list[int]]]:
+    """The highest maximum antichain of the order generated by the arcs
+    x -> y, y in succ[x], and a minimum chain cover, off one minimum flow.
+    It takes x with x_out and not x_in reached from t in the final residual,
+    the same for every minimum flow, so it is fixed: its down-set holds every
+    other's."""
+    flow, n = _MinFlow(succ), len(succ)
+    return frozenset(x for x in range(n) if flow.reach[n + x] and not flow.reach[x]), flow.chains()
+
+
+def minimum_chain_cover(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The fewest chains covering the order generated by the arcs, as paths
+    of one minimum flow; two chains may share elements."""
+    return _MinFlow(succ).chains()
+
+
+def enumerate_maximum_antichain_ids(succ: Sequence[Sequence[int]]) -> tuple[list, list]:
+    """All maximum antichains of the order generated by the arcs, sorted, and
+    a minimum chain cover, off one minimum flow; a unique maximum costs just
+    the flow and two searches of its residual."""
+    flow = _MinFlow(succ)
+    return flow.antichains(), flow.chains()
 
 
 def _topological_sccs(succ: list[set[int]]) -> list[int]:

@@ -5,8 +5,8 @@ The strict verdict on a strictly normal poset is read off the LYM
 certificate (`_lym_certificate`); the search below decides every other input
 and is the certificate's oracle in the tests.  The same argument gives the
 maximum antichains of a regular, level-connected (so strictly normal) poset
-from its level sizes: they are its largest levels.  The split-graph matching
-serves every other poset.
+from its level sizes: they are its largest levels.  One minimum flow on the
+cover relation serves every other poset (see flows).
 
 The search serves every k through Saks's correspondence (1979) for the
 k-families of Greene and Kleitman (1976): the k-Sperner families of P are the
@@ -43,6 +43,8 @@ SCAN_BUDGET = 1 << 16
 
 
 def _strict_pairs(poset: RankedPoset) -> list[tuple[int, int]]:
+    """Every strict pair a < b.  No package code calls it, as the flows take
+    the cover relation; the benchmark's tracer still counts it by name."""
     pairs = []
     for a in range(poset.n):
         mask = poset.up_mask[a] & ~(1 << a)
@@ -116,16 +118,17 @@ def _certify(poset: RankedPoset, families: list[Family], chains: list, k: int = 
     """A k-Sperner family with one member per chain of a chain cover (of the
     lifts into P × C_k) is maximum; every family listed must have its size."""
     if len(families[0]) != len(chains) or not is_k_sperner(poset, families[0], k)[0]:
-        raise PosetError("matching dual failed to certify the maximum")
+        raise PosetError("flow dual failed to certify the maximum")
     if any(len(f) != len(chains) for f in families):
-        raise PosetError("matching-based enumeration disagrees with the Dilworth size")
+        raise PosetError("flow-based enumeration disagrees with the Dilworth size")
 
 
 def max_antichain(poset: RankedPoset) -> Family:
-    """A maximum antichain via minimum chain cover (Dilworth by matching)."""
+    """The highest maximum antichain, whose down-set holds that of every other,
+    off one minimum flow on the cover relation, certified by its chain cover."""
     if poset.n > ORACLE_CAP:
         raise SizeLimitError(f"{poset.n} elements exceed the cap {ORACLE_CAP}")
-    antichain, chains = maximum_antichain_ids(poset.n, _strict_pairs(poset))
+    antichain, chains = maximum_antichain_ids(poset.up_adj)
     _certify(poset, [antichain], chains)
     return antichain
 
@@ -137,13 +140,16 @@ def is_homogeneous(poset: RankedPoset, fam: Iterable[int]) -> bool:
 
 
 def _product(poset: RankedPoset, k: int) -> tuple | None:
-    """The lifts (x, i) of P into P × C_k: their number, strict pairs and
-    owners x by id; None from k levels on, where P is the unique maximum.
+    """The lifts (x, i) of P into P × C_k: successor lists generating their
+    order, and owners x by id; None from k levels on, where P is the unique
+    maximum.
 
     (x, i) < (y, j) iff x <= y, i <= j and they differ.  Labels stop below
     c(x), the longest chain up from x, at most k: that keeps the lift labelling
     each member by the longest chain up from it in the family, less one, and
-    drops only surplus lifts of the same families.
+    drops only surplus lifts of the same families.  c falls along chains, so
+    the steps (x, i) -> (y, i), y covering x, i < c(y), and (x, i) -> (x, i + 1)
+    generate the order, with about k (n + covers) arcs.
     """
     if k < 1:
         raise PosetError("k must be at least 1")
@@ -154,7 +160,7 @@ def _product(poset: RankedPoset, k: int) -> tuple | None:
             f"{poset.name}: n*k = {poset.n * k} exceeds the search cap {ORACLE_CAP} (k={k})"
         )
     if k == 1:  # the lifts are P itself
-        return poset.n, _strict_pairs(poset), range(poset.n)
+        return poset.up_adj, range(poset.n)
     c = [0] * poset.n
     for level in reversed(poset.levels):
         for x in level:
@@ -164,26 +170,18 @@ def _product(poset: RankedPoset, k: int) -> tuple | None:
     for x in range(poset.n):
         first.append(len(owner))
         owner += [x] * c[x]
-
-    def pairs() -> Iterable[tuple[int, int]]:
-        for x in range(poset.n):
-            for i in range(first[x], first[x] + c[x] - 1):
-                for j in range(i + 1, first[x] + c[x]):
-                    yield i, j
-        # a < b gives c[a] >= c[b], so each label of b sits below its copy in a
-        for a, b in _strict_pairs(poset):
-            for i in range(c[b]):
-                for j in range(first[b] + i, first[b] + c[b]):
-                    yield first[a] + i, j
-
-    return len(owner), pairs(), owner
+    succ = []
+    for v, x in enumerate(owner):
+        i = v - first[x]
+        succ.append([first[y] + i for y in poset.up_adj[x] if i < c[y]] + [v + 1] * (i + 1 < c[x]))
+    return succ, owner
 
 
 def max_k_sperner_size(poset: RankedPoset, k: int) -> int:
     """Exact maximum size of a k-Sperner family: the chains of a minimum chain
-    cover of the lifts into P × C_k, one matching and no enumeration."""
+    cover of the lifts into P × C_k, one minimum flow and no enumeration."""
     product = _product(poset, k)
-    return poset.n if product is None else len(minimum_chain_cover(*product[:2]))
+    return poset.n if product is None else len(minimum_chain_cover(product[0]))
 
 
 def enumerate_maximum_k_sperner(poset: RankedPoset, k: int) -> tuple[int, list[Family]]:
@@ -194,8 +192,8 @@ def enumerate_maximum_k_sperner(poset: RankedPoset, k: int) -> tuple[int, list[F
     product = _product(poset, k)
     if product is None:
         return poset.n, [frozenset(range(poset.n))]
-    n_lifts, pairs, owner = product
-    antichains, chains = enumerate_maximum_antichain_ids(n_lifts, pairs)
+    succ, owner = product
+    antichains, chains = enumerate_maximum_antichain_ids(succ)
     # position p of the (rank, id) order is bit n - 1 - p, so the order wanted
     # is descending mask order; an antichain holds one lift of each member
     by_bit = sorted(range(poset.n), key=lambda x: (-poset.ranks[x], -x))
@@ -213,17 +211,17 @@ def enumerate_maximum_antichains(poset: RankedPoset) -> tuple[int, list[Family]]
     A graded poset that is regular and level-connected is strictly normal, so
     by the strict LYM inequality only a full level reaches LYM sum 1; a maximum
     antichain, at least as large as every level, reaches it.  Its maxima are
-    therefore its largest levels, read off the level sizes with no pair list
-    or matching, and no cap applies.  Every other poset, up to ORACLE_CAP
-    elements, is walked off one split-graph matching (a unique maximum costs
-    just the matching) and certified by its chain cover.
+    therefore its largest levels, read off the level sizes with no flow, and
+    no cap applies.  Every other poset, up to ORACLE_CAP elements, is walked
+    off one minimum flow on its cover relation (a unique maximum costs just
+    the flow) and certified by its chain cover.
     """
     if poset.is_graded and strictly_normal_fast_path(poset):
         size = max(poset.whitney)
         return size, sorted((frozenset(lv) for lv in poset.levels if len(lv) == size), key=sorted)
     if poset.n > ORACLE_CAP:
         raise SizeLimitError(f"{poset.n} elements exceed the cap {ORACLE_CAP}")
-    families, chains = enumerate_maximum_antichain_ids(poset.n, _strict_pairs(poset))
+    families, chains = enumerate_maximum_antichain_ids(poset.up_adj)
     _certify(poset, families, chains)
     return len(chains), families
 

@@ -596,6 +596,24 @@ class TestSecondIdentity:
                 assert Fraction(count, total) == report.betas[i]
             assert Fraction(rest, total) == report.boundary_sum
 
+    def test_degrees_read_once_per_call(self, b4, monkeypatch):
+        samples = (_sample_skew_system(b4, random.Random(seed)) for seed in range(100))
+        system = next(sample for sample in samples if len(sample.pairs) > 2)
+        expected = second_az_identity(b4, system)
+        calls = []
+        profile = az.degree_profile
+
+        def counted(poset):
+            calls.append(poset)
+            return profile(poset)
+
+        monkeypatch.setattr(az, "degree_profile", counted)
+        assert second_az_identity(b4, system) == expected
+        assert len(calls) == 1
+        assert expected.betas == tuple(
+            beta(b4, lambda_table(b4), b4.ranks[a], b4.ranks[b]) for a, b in system.pairs
+        )
+
     def test_requires_strongly_regular(self, c322):
         from azsperner.errors import NotStronglyRegularError
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from azsperner import (
     build_poset,
@@ -136,6 +137,22 @@ class TestMaxAntichain:
         for poset in (fig1a, fig1b, b3, c322, star22, non_normal_5):
             assert len(max_antichain(poset)) == brute_force_max_antichain_size(poset)
 
+    @given(st.booleans().flatmap(lambda graded: graded_posets(16, graded=graded)))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_highest_maximum_antichain(self, base):
+        # the residual's t side is the same for every minimum flow, so the
+        # answer is fixed: the maximum whose down-set holds all the others
+        answer = max_antichain(base)
+        identity = {x: x for x in range(base.n)}
+        for poset, back in ((base, identity), relabelled(base, 1), relabelled(base, 2)):
+            _, families = enumerate_maximum_antichains(poset)
+            downs = [poset.downset_mask(f) for f in families]
+            top = max(range(len(families)), key=lambda i: downs[i].bit_count())
+            assert all(not down & ~downs[top] for down in downs)
+            found = max_antichain(poset)
+            assert found == families[top]
+            assert {back[x] for x in found} == answer
+
     def test_size_limit(self):
         import azsperner.sperner as sp
 
@@ -170,7 +187,7 @@ class TestMaxAntichain:
 
 class TestMaximumAntichainsOfLevels:
     """Regular, level-connected posets are strictly normal: their maximum
-    antichains are their largest levels, found with no matching."""
+    antichains are their largest levels, found with no flow."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -196,9 +213,9 @@ class TestMaximumAntichainsOfLevels:
 
     def test_tall_chain_needs_no_matching(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("no matching expected")
+            raise AssertionError("no flow expected")
 
-        monkeypatch.setattr(flows, "_hopcroft_karp", refuse)
+        monkeypatch.setattr(flows, "_MinFlow", refuse)
         monkeypatch.setattr(sperner, "_strict_pairs", refuse)
         size, families = enumerate_maximum_antichains(gen_chain_product([1999]))
         assert (size, len(families)) == (1, 1999)
@@ -209,11 +226,22 @@ class TestMaximumAntichainsOfLevels:
         assert b11.n > sperner.ORACLE_CAP
         size, families = enumerate_maximum_antichains(b11)
         assert (size, families) == (462, sorted(map(frozenset, b11.levels[5:7]), key=sorted))
-        # a non-regular poset past the cap still goes to the matching, which refuses it
+        # a non-regular poset past the cap still goes to the flow, which refuses it
         tall = gen_chain_product([1001, 2])
         assert tall.n > sperner.ORACLE_CAP and not sperner.strictly_normal_fast_path(tall)
         with pytest.raises(SizeLimitError):
             enumerate_maximum_antichains(tall)
+
+    def test_wide_listing_is_refused_quickly(self):
+        # chains:999,2 is under the oracle cap and not regular; its C(1000, 2)
+        # maxima pass the listing cap, which the flow's walk refuses before
+        # decoding any of them
+        poset = gen_chain_product([999, 2])
+        assert poset.n <= sperner.ORACLE_CAP and not sperner.strictly_normal_fast_path(poset)
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="over 20020 maximum antichains of 1998"):
+            enumerate_maximum_antichains(poset)
+        assert time.perf_counter() - start < 5
 
 
 class TestStrictSperner:
