@@ -2,7 +2,8 @@
 
 Each criterion function returns a CriterionResult; ALL_CRITERIA lists them
 in suite order.  Randomness is seeded per criterion so reports are
-reproducible.
+reproducible.  The product criteria (7-9) import twopart when they run, so
+a suite run of any other criterion loads neither twopart nor mis.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ from .properties import (
     lambda_table,
     level_size_identity_holds,
     verify_chain_covering,
-)
-from .sperner import check_strict_k_sperner
-from .twopart import (
-    best_full_transversal,
-    max_two_part_sperner_exact,
-    product_covering_report,
-    slices_by_q,
-    two_part_az_sum,
-    two_part_lym,
-    two_part_sperner_identity,
-    verify_strict_two_part,
 )
 
 SEED = 987_654_321
@@ -270,6 +260,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Maximum antichains of small strictly normal posets are full levels."""
+    from .sperner import check_strict_k_sperner
 
     def body():
         strict_posets = [
@@ -328,6 +319,7 @@ def _random_two_part_sperner(
 
 def criterion_7() -> CriterionResult:
     """Two-part identity totals r(Q)+1; the Sperner split agrees."""
+    from .twopart import slices_by_q, two_part_az_sum, two_part_lym, two_part_sperner_identity
 
     def body():
         products = [
@@ -372,6 +364,7 @@ def _criterion_8_products():
 
 def criterion_8() -> CriterionResult:
     """All maximum 2-part Sperner families are well-paired homogeneous."""
+    from .twopart import best_full_transversal, verify_strict_two_part
 
     def body():
         maxima: dict[str, int] = {}
@@ -397,6 +390,7 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """Pair-sum equalities for maximum families and chain pairs."""
+    from .twopart import max_two_part_sperner_exact, product_covering_report, two_part_lym
 
     def body():
         for p, q in _criterion_8_products():

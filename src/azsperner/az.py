@@ -257,20 +257,23 @@ def boundary_chain_fractions(
     Uses only boundary edges and the dynamic-programming chain census, never
     W.  A chain "enters" at x if it crosses a boundary edge into x, or starts
     at a bottom-level member of the upset.  On a regular U-poset each
-    element's fraction equals its identity term.
+    element's fraction equals its identity term.  The entering chains are
+    counted as integers over the shared total: one Fraction per element and
+    one for their sum.
     """
     ids = family(poset, fam)
     down, up = poset.chains_below_above()
     total = poset.count_maximal_chains().total
     up_mask = poset.upset_mask(ids)
-    per: dict[int, Fraction] = {}
-    for x, lowers in poset.boundary_edges(ids).items():
-        per[x] = Fraction(sum(down[v] for v in lowers) * up[x], total)
+    entering: dict[int, int] = {
+        x: sum(down[v] for v in lowers) * up[x]
+        for x, lowers in poset.boundary_edges(ids).items()
+    }
     for x in poset.levels[0]:
         if (up_mask >> x) & 1:
-            per[x] = per.get(x, Fraction(0)) + Fraction(up[x], total)
-    grand = sum(per.values(), Fraction(0))
-    return grand, per
+            entering[x] = entering.get(x, 0) + up[x]
+    per = {x: Fraction(count, total) for x, count in entering.items()}
+    return Fraction(sum(entering.values()), total), per
 
 
 def antichain_az(

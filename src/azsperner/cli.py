@@ -18,42 +18,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import acceptance
-from .az import (
-    SkewPairSystem,
-    az_identity_sum,
-    antichain_az,
-    k_sperner_az,
-    key_lemma_sum,
-    second_az_identity,
-)
 from .core import RankedPoset, from_json
 from .errors import PosetError
 from .families import parse_poset_spec, split_top_level
-from .properties import (
-    build_chain_covering,
-    check_level_connected,
-    check_normal,
-    check_regular,
-    check_strictly_normal,
-    check_strongly_regular,
-    verify_chain_covering,
-)
-from .sperner import (
-    check_strict_k_sperner,
-    dual_dilworth_decompose,
-    is_k_sperner,
-    lym_sum,
-    max_antichain,
-)
-from .twopart import (
-    max_two_part_sperner_exact,
-    two_part_az_sum,
-    two_part_lym,
-    two_part_sperner_identity,
-    verify_strict_two_part,
-    well_paired_family,
-)
 
 RANDOM_ALGORITHM = "mt19937"
 
@@ -182,8 +149,11 @@ def _digest(*parts) -> str:
 # -- subcommands ----------------------------------------------------------
 #
 # Each cmd_* yields its reports; main prints them and derives the exit code.
-# The action and identity tables hold cli functions that look the library
-# names up at call time, so rebinding those names (as tracing does) reaches them.
+# A subcommand imports its library module when it runs, and so does each
+# entry of its action or identity table, so a call loads only the modules it
+# uses (the README's CLI section lists them).  An import made at call time
+# also sees a library name rebound after this module was loaded, as the
+# benchmark's tracing does.
 
 
 def cmd_gen(args):
@@ -217,22 +187,29 @@ def cmd_export(args):
         sys.stdout.write(poset.to_dot())
 
 
+# property -> its checker in azsperner.properties; only normal takes --mode
 _PROPERTY_CHECKS = {
-    "regular": lambda p, mode: check_regular(p),
-    "normal": lambda p, mode: check_normal(p, mode=mode or "flow"),
-    "strictly-normal": lambda p, mode: check_strictly_normal(p),
-    "level-connected": lambda p, mode: check_level_connected(p),
-    "strongly-regular": lambda p, mode: check_strongly_regular(p),
+    "regular": "check_regular",
+    "normal": "check_normal",
+    "strictly-normal": "check_strictly_normal",
+    "level-connected": "check_level_connected",
+    "strongly-regular": "check_strongly_regular",
 }
 
 
 def cmd_check(args):
+    from . import properties
+
     poset = load_poset(args.poset)
-    result = _PROPERTY_CHECKS[args.property](poset, args.mode)
+    check = getattr(properties, _PROPERTY_CHECKS[args.property])
+    options = {"mode": args.mode or "flow"} if args.property == "normal" else {}
+    result = check(poset, **options)
     yield _report("check", _holds(result.holds), poset=poset.name, **result.to_json())
 
 
 def _thm5(poset, args):
+    from .az import SkewPairSystem, second_az_identity
+
     if not args.pairs:
         raise PosetError("thm5 needs --pairs a:b,c:d (ids or labels)")
     pairs = []
@@ -247,25 +224,37 @@ def _thm5(poset, args):
 
 
 def _thm1(poset, args):
+    from .az import az_identity_sum
+
     report = az_identity_sum(poset, parse_family(poset, args.family))
     return report.total, Fraction(1), report.to_json
 
 
+def _keylemma(poset, args):
+    from .az import key_lemma_sum
+
+    return key_lemma_sum(poset, parse_family(poset, args.family)), Fraction(1), None
+
+
 def _cor2(poset, args):
+    from .az import antichain_az
+
     lym, rem = antichain_az(poset, parse_family(poset, args.family))
     return lym + rem, Fraction(1), lambda: {"lym_part": _frac(lym), "remainder": _frac(rem)}
+
+
+def _cor3(poset, args):
+    from .az import k_sperner_az
+
+    return k_sperner_az(poset, parse_family(poset, args.family), args.k), Fraction(args.k), None
 
 
 # identity -> (poset, args) -> (total, expected, builder of the --breakdown JSON or None)
 _IDENTITIES = {
     "thm1": _thm1,
-    "keylemma": lambda poset, args: (
-        key_lemma_sum(poset, parse_family(poset, args.family)), Fraction(1), None
-    ),
+    "keylemma": _keylemma,
     "cor2": _cor2,
-    "cor3": lambda poset, args: (
-        k_sperner_az(poset, parse_family(poset, args.family), args.k), Fraction(args.k), None
-    ),
+    "cor3": _cor3,
     "thm5": _thm5,
 }
 
@@ -291,11 +280,21 @@ def cmd_az(args):
 
 
 def _sperner_max(poset, args):
+    from .sperner import max_antichain
+
     fam = max_antichain(poset)
     return "pass", {"size": len(fam), "family": sorted(fam)}
 
 
+def _sperner_lym(poset, args):
+    from .sperner import lym_sum
+
+    return "pass", {"result": _frac(lym_sum(poset, parse_family(poset, args.family)))}
+
+
 def _sperner_decompose(poset, args):
+    from .sperner import dual_dilworth_decompose, is_k_sperner
+
     fam = parse_family(poset, args.family)
     parts = dual_dilworth_decompose(poset, fam)
     ok, chain = is_k_sperner(poset, fam, args.k)
@@ -306,6 +305,8 @@ def _sperner_decompose(poset, args):
 
 
 def _sperner_strict(poset, args):
+    from .sperner import check_strict_k_sperner
+
     result = check_strict_k_sperner(poset, args.k)
     return _holds(result.holds), result.to_json()
 
@@ -313,9 +314,7 @@ def _sperner_strict(poset, args):
 # action -> (poset, args) -> (verdict, report fields after "action")
 _SPERNER_ACTIONS = {
     "max": _sperner_max,
-    "lym": lambda poset, args: (
-        "pass", {"result": _frac(lym_sum(poset, parse_family(poset, args.family)))}
-    ),
+    "lym": _sperner_lym,
     "strict": _sperner_strict,
     "decompose": _sperner_decompose,
 }
@@ -328,6 +327,8 @@ def cmd_sperner(args):
 
 
 def _twopart_max(p, q, args):
+    from .twopart import max_two_part_sperner_exact
+
     size, families = max_two_part_sperner_exact(p, q, enumerate_all=args.all)
     listed = (
         {"families": [sorted(f) for f in families]} if args.all else {"family": sorted(families[0])}
@@ -336,11 +337,15 @@ def _twopart_max(p, q, args):
 
 
 def _twopart_strict(p, q, args):
+    from .twopart import verify_strict_two_part
+
     result = verify_strict_two_part(p, q)
     return _holds(result.holds), result.to_json()
 
 
 def _twopart_az(p, q, args):
+    from .twopart import two_part_az_sum
+
     total = two_part_az_sum(p, q, parse_pair_family(args.family)).total
     expected = Fraction(q.height + 1)
     return _equals(total, expected), {
@@ -351,6 +356,8 @@ def _twopart_az(p, q, args):
 
 
 def _twopart_identity(p, q, args):
+    from .twopart import two_part_sperner_identity
+
     lym, rem = two_part_sperner_identity(p, q, parse_pair_family(args.family))
     expected = Fraction(min(p.height, q.height) + 1)
     return _equals(lym + rem, expected), {
@@ -361,7 +368,15 @@ def _twopart_identity(p, q, args):
     }
 
 
+def _twopart_lym(p, q, args):
+    from .twopart import two_part_lym
+
+    return "pass", {"result": _frac(two_part_lym(p, q, parse_pair_family(args.family)))}
+
+
 def _twopart_well_paired(p, q, args):
+    from .twopart import well_paired_family
+
     fam, transversal = well_paired_family(p, q)
     return "pass", {"size": len(fam), "transversal": transversal.to_json(), "family": sorted(fam)}
 
@@ -372,9 +387,7 @@ _TWOPART_ACTIONS = {
     "verify-strict": _twopart_strict,
     "az": _twopart_az,
     "identity": _twopart_identity,
-    "lym": lambda p, q, args: (
-        "pass", {"result": _frac(two_part_lym(p, q, parse_pair_family(args.family)))}
-    ),
+    "lym": _twopart_lym,
     "well-paired": _twopart_well_paired,
 }
 
@@ -387,12 +400,16 @@ def cmd_twopart(args):
 
 
 def cmd_cover(args):
+    from .properties import build_chain_covering, verify_chain_covering
+
     poset = load_poset(args.poset)
     report = verify_chain_covering(poset, build_chain_covering(poset))
     yield _report("cover", _holds(report.holds), poset=poset.name, **report.to_json())
 
 
 def cmd_suite(args):
+    from . import acceptance
+
     criteria = acceptance.ALL_CRITERIA
     if args.criterion is not None:
         if not 1 <= args.criterion <= len(criteria):

@@ -415,8 +415,11 @@ def _level_sizes(spec: str) -> list[int] | None:
     """The level sizes of the poset a spec builds, from `whitney_oracle`
     through trunc(...) and prod(...), without building it.  None for a kind
     with no oracle, and for a spec its builder refuses, so that the builder
-    names the fault."""
+    names the fault.  divisor:m is the product of chains of lengths e+1 over
+    the prime powers p^e of m, and fig1a and fig1b have fixed sizes."""
     spec = spec.strip()
+    if spec in ("fig1a", "fig1b"):
+        return [1, 2, 2, 1]
     try:
         if spec.startswith("trunc(") and spec.endswith(")"):
             inner, lo, hi = _trunc_parts(spec)
@@ -432,6 +435,12 @@ def _level_sizes(spec: str) -> list[int] | None:
                     conv[i + j] += x * y
             return conv
         kind, _, argstr = spec.partition(":")
+        if kind == "divisor":
+            (m,) = _spec_ints(spec, argstr.split(","), 1)
+            if m < 1:
+                return None
+            chains = [e + 1 for _, e in _factorize(m)]
+            return whitney_oracle("chains", chains) if math.prod(chains) <= ELEMENT_CAP else None
         if kind not in _FAMILY_CHECKS:
             return None
         args = _spec_ints(spec, argstr.split(","), _SPEC_ARITY[kind])

@@ -123,6 +123,30 @@ class TestIdentitySum:
             for term in report.terms:
                 assert term.term == per.get(term.element, Fraction(0))
 
+    def test_chain_fractions_match_the_fraction_sum_form(self):
+        def fraction_sums(poset, fam):
+            down, up = poset.chains_below_above()
+            total = poset.count_maximal_chains().total
+            up_mask = poset.upset_mask(fam)
+            per = {}
+            for x, lowers in poset.boundary_edges(fam).items():
+                per[x] = Fraction(sum(down[v] for v in lowers) * up[x], total)
+            for x in poset.levels[0]:
+                if (up_mask >> x) & 1:
+                    per[x] = per.get(x, Fraction(0)) + Fraction(up[x], total)
+            return sum(per.values(), Fraction(0)), per
+
+        posets = [gen_boolean(n) for n in range(1, 6)]
+        posets += [
+            gen_subspace_lattice(3, 2),
+            adjoin_bounds(parse_poset_spec("trunc(boolean:4,1,3)")),
+        ]
+        rng = random.Random(7)
+        for poset in posets:
+            for _ in range(30):
+                fam = frozenset(rng.sample(range(poset.n), rng.randint(1, poset.n)))
+                assert boundary_chain_fractions(poset, fam) == fraction_sums(poset, fam)
+
     def test_w_equals_boundary_group_size(self, fig1a, b3, c322):
         rng = random.Random(11)
         for poset in (fig1a, b3, c322):

@@ -521,8 +521,9 @@ def test_runs_without_scipy_or_numpy(argv):
         assert report["criterion"] == 8 and report["passed"] is True
 
 
-# every generator head past its cap, a deep q-binomial under trunc(), sizes
-# past the 4,300 digits that str() converts, and negative dimensions
+# every generator head past its cap, products past it with a divisor or a
+# figure-1 factor, a deep q-binomial under trunc(), sizes past the 4,300
+# digits that str() converts, and negative dimensions
 OVER_CAP_SPECS = [
     "boolean:17",
     "boolean:21",
@@ -531,6 +532,8 @@ OVER_CAP_SPECS = [
     "subspace:2000,2",
     "affine:3103,3",
     "divisor:100000000000031",
+    "prod(divisor:720720,boolean:16)",
+    "prod(fig1a,boolean:16)",
     "trunc(subspace:1200,2,0,1)",
     "star:2,10000",
     "chains:" + ",".join(["100000"] * 1000),

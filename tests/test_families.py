@@ -202,6 +202,15 @@ class TestDivisorLattice:
         for m in range(1, 2001):
             assert gen_divisor_lattice(m).to_json() == brute(m).to_json(), m
 
+    def test_size_oracle_matches_the_built_lattice(self):
+        for m in [*range(1, 2001), 720720]:
+            assert families._level_sizes(f"divisor:{m}") == list(gen_divisor_lattice(m).whitney), m
+        for spec in ("fig1a", "fig1b"):
+            assert families._level_sizes(spec) == list(parse_poset_spec(spec).whitney)
+        # refused by the builder, so the builder names the fault
+        assert families._level_sizes("divisor:0") is None
+        assert families._level_sizes("divisor:100000000000031") is None
+
     def test_large_modulus(self):
         p = parse_poset_spec("divisor:100000000")
         assert p.n == 81
@@ -326,6 +335,9 @@ class TestSpecParser:
             "prod(boolean:14,boolean:14)",
             "prod(trunc(boolean:14,1,13),chains:4,2)",
             "prod(prod(star:2,5,boolean:3),subspace:4,3)",
+            "prod(divisor:720720,boolean:16)",
+            "prod(fig1a,boolean:16)",
+            "prod(boolean:16,fig1b)",
         ],
     )
     def test_product_past_the_cap_is_refused_before_building(self, monkeypatch, spec):
@@ -333,6 +345,8 @@ class TestSpecParser:
             raise AssertionError("no factor should be built")
 
         monkeypatch.setattr(families, "build_poset", refuse)
+        for name in ("gen_boolean", "gen_divisor_lattice", "gen_fig1a", "gen_fig1b"):
+            monkeypatch.setattr(families, name, refuse)
         with pytest.raises(SizeLimitError, match="product too large"):
             parse_poset_spec(spec)
 
