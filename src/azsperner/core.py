@@ -8,9 +8,8 @@ they stay exact and cheap at desk scale (up to ~10^4 elements).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     ChainLimitError,
@@ -26,8 +25,6 @@ Family = frozenset[int]
 CHAIN_ENUM_CAP = 100_000
 # Most elements a generated poset may have, and the highest rank of any poset.
 ELEMENT_CAP = 100_000
-# Most maximum families (antichains, k-Sperner families, independent sets) listed.
-SOLUTION_CAP = 1_000_000
 
 
 def _mask_of(ids: Iterable[int]) -> int:
@@ -46,8 +43,7 @@ def _ids_of(mask: int) -> frozenset[int]:
     return frozenset(ids)
 
 
-@dataclass(frozen=True)
-class ChainCounts:
+class ChainCounts(NamedTuple):
     """Maximal-chain census: the total and the count through each element."""
 
     total: int

@@ -8,12 +8,20 @@ counts are capped at desk scale because everything downstream is exhaustive.
 The subspace lattice and the affine poset share one enumeration of the
 subspaces of GF(q)^n, on the field tables of `gf`, and one builder of the
 covers by inclusion.
+
+Each spec kind has a level-size oracle that makes its generator's checks.
+One kind table and one recursive planner serve `parse_poset_spec` and
+`whitney_oracle`: a spec is parsed, sized and range-checked through
+trunc(...) and prod(...), and every refusal is raised, before anything is
+built.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache, reduce
 from itertools import accumulate, combinations, product as iproduct
+from typing import Callable
 
 from .core import ELEMENT_CAP, RankedPoset, build_poset
 from .errors import PosetError, RankOutOfRangeError, SizeLimitError
@@ -33,9 +41,31 @@ def _check_dimension(what: str, n: int) -> None:
         raise SizeLimitError(f"{what} has at least 2^{n} elements (> {ELEMENT_CAP})")
 
 
+def _capped(what: str, sizes: list[int]) -> list[int]:
+    """The level sizes of a poset, or a SizeLimitError if it is past the cap."""
+    count = sum(sizes)
+    if count > ELEMENT_CAP:
+        raise SizeLimitError(f"{what} has {count} elements (> {ELEMENT_CAP})")
+    return sizes
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The level sizes of the product of posets with level sizes a and b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _boolean_sizes(n: int) -> list[int]:
+    _check_dimension("boolean lattice", n)  # 2^n is the size, so this is the cap check
+    return [math.comb(n, i) for i in range(n + 1)]
+
+
 def gen_boolean(n: int) -> RankedPoset:
     """The Boolean lattice of subsets of {1..n}; rank is cardinality."""
-    _check_dimension("boolean lattice", n)  # 2^n is the size, so this is the cap check
+    _boolean_sizes(n)
     size = 1 << n
     elements = [(m, bin(m).count("1")) for m in range(size)]
     covers = []
@@ -47,14 +77,11 @@ def gen_boolean(n: int) -> RankedPoset:
     return build_poset(elements, covers, name=f"boolean:{n}", labels=labels)
 
 
-def _check_star(k: int, n: int) -> None:
-    """Refuse bad star-power arguments, then a star power past the cap."""
+def _star_sizes(k: int, n: int) -> list[int]:
     if k < 1 or n < 1:
         raise PosetError("star power needs k >= 1 and n >= 1")
     _check_dimension("star power", n)
-    size = (k + 1) ** n
-    if size > ELEMENT_CAP:
-        raise SizeLimitError(f"star power has {size} elements (> {ELEMENT_CAP})")
+    return _capped("star power", [math.comb(n, i) * k**i for i in range(n + 1)])
 
 
 def gen_star_power(k: int, n: int) -> RankedPoset:
@@ -63,7 +90,7 @@ def gen_star_power(k: int, n: int) -> RankedPoset:
     Tuples in {0..k}^n with x <= y iff x agrees with y on every nonzero
     coordinate of x.
     """
-    _check_star(k, n)
+    _star_sizes(k, n)
     tuples = list(iproduct(range(k + 1), repeat=n))
     index = {t: i for i, t in enumerate(tuples)}
     elements = [(i, sum(1 for c in t if c)) for i, t in enumerate(tuples)]
@@ -77,14 +104,15 @@ def gen_star_power(k: int, n: int) -> RankedPoset:
     return build_poset(elements, covers, name=f"star:{k},{n}", labels=labels)
 
 
-def _check_chains(sizes: tuple[int, ...]) -> None:
-    """Refuse bad chain sizes, then a chain product past the cap."""
+def _chain_sizes(sizes: list[int] | tuple[int, ...]) -> list[int]:
     if not sizes or any(s < 1 for s in sizes):
         raise PosetError("chain sizes must be positive")
     if list(sizes) != sorted(sizes, reverse=True):
         raise PosetError("chain sizes must be non-increasing")
     if math.prod(sizes) > ELEMENT_CAP:
         raise SizeLimitError(f"chain product has more than {ELEMENT_CAP} elements")
+    # a one-element chain leaves the sizes as they are
+    return reduce(_convolve, ([1] * s for s in sizes if s > 1), [1])
 
 
 def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
@@ -93,7 +121,7 @@ def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
     Rank is the coordinate sum.
     """
     sizes = tuple(sizes)
-    _check_chains(sizes)
+    _chain_sizes(sizes)
     tuples = list(iproduct(*(range(s) for s in sizes)))
     index = {t: i for i, t in enumerate(tuples)}
     elements = [(i, sum(t)) for i, t in enumerate(tuples)]
@@ -107,7 +135,8 @@ def gen_chain_product(sizes: list[int] | tuple[int, ...]) -> RankedPoset:
     return build_poset(elements, covers, name="chains:" + ",".join(map(str, sizes)), labels=labels)
 
 
-def _factorize(m: int) -> list[tuple[int, int]]:
+@cache  # a divisor spec's plan and its generator both read the factorization
+def _factorize(m: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs of m in ascending prime order, by trial division
     up to min(sqrt(m), TRIAL_DIVISION_CAP); a larger cofactor is refused."""
     modulus = m
@@ -128,7 +157,17 @@ def _factorize(m: int) -> list[tuple[int, int]]:
         )
     if m > 1:
         factors.append((m, 1))
-    return factors
+    return tuple(factors)
+
+
+def _divisor_sizes(m: int) -> list[int]:
+    """The product of chains of lengths e+1 over the prime powers p^e of m."""
+    if m < 1:
+        raise PosetError("modulus must be positive")
+    chains = [e + 1 for _, e in _factorize(m)]
+    if math.prod(chains) > ELEMENT_CAP:
+        raise SizeLimitError("too many divisors")
+    return reduce(_convolve, ([1] * c for c in chains), [1])
 
 
 def gen_divisor_lattice(m: int) -> RankedPoset:
@@ -136,11 +175,8 @@ def gen_divisor_lattice(m: int) -> RankedPoset:
 
     The divisors come from the factorization of m, ids in ascending order.
     """
-    if m < 1:
-        raise PosetError("modulus must be positive")
+    _divisor_sizes(m)
     factors = _factorize(m)
-    if math.prod(e + 1 for _, e in factors) > ELEMENT_CAP:
-        raise SizeLimitError("too many divisors")
     omega = {1: 0}
     for p, e in factors:
         omega = {d * p**k: w + k for d, w in omega.items() for k in range(e + 1)}
@@ -184,13 +220,17 @@ def _subspaces(n: int, q: int):
                 yield frozenset(vectors), k, "[" + " ".join(map(_vec_label, rows)) + "]"
 
 
-def _check_gf_size(kind: str, what: str, n: int, q: int) -> None:
-    """Refuse a q that is not a supported prime power, then a poset past the cap."""
+def _subspace_sizes(n: int, q: int) -> list[int]:
+    field(q)  # refuses a q that is not a supported prime power
+    _check_dimension("subspace lattice", n)
+    return _capped("subspace lattice", [gaussian_binomial(n, k, q) for k in range(n + 1)])
+
+
+def _affine_sizes(n: int, q: int) -> list[int]:
     field(q)
-    _check_dimension(what, n)
-    count = sum(whitney_oracle(kind, n, q))
-    if count > ELEMENT_CAP:
-        raise SizeLimitError(f"{what} has {count} elements (> {ELEMENT_CAP})")
+    _check_dimension("affine poset", n)
+    sizes = [gaussian_binomial(n, k, q) * q ** (n - k) for k in range(n + 1)]
+    return _capped("affine poset", sizes)
 
 
 def _inclusion_poset(sets: list[tuple[frozenset, int, str]], name: str) -> RankedPoset:
@@ -212,7 +252,7 @@ def _inclusion_poset(sets: list[tuple[frozenset, int, str]], name: str) -> Ranke
 
 def gen_subspace_lattice(n: int, q: int) -> RankedPoset:
     """All subspaces of GF(q)^n ordered by inclusion; rank is dimension."""
-    _check_gf_size("subspace", "subspace lattice", n, q)
+    _subspace_sizes(n, q)
     return _inclusion_poset(list(_subspaces(n, q)), f"subspace:{n},{q}")
 
 
@@ -223,7 +263,7 @@ def gen_affine_poset(n: int, q: int) -> RankedPoset:
     so there is no universal lower bound.  The cosets of each subspace are
     listed by their least point, which also labels them.
     """
-    _check_gf_size("affine", "affine poset", n, q)
+    _affine_sizes(n, q)
     add, _ = field(q)
     points = list(iproduct(range(q), repeat=n))
     cosets = []
@@ -240,12 +280,15 @@ def gen_affine_poset(n: int, q: int) -> RankedPoset:
 # -- derived constructions ----------------------------------------------------
 
 
+def _check_range(height: int, lo: int, hi: int) -> None:
+    """Refuse a truncation range outside the levels 0..height."""
+    if not 0 <= lo < hi <= height:
+        raise RankOutOfRangeError(f"need 0 <= lo < hi <= {height}, got ({lo},{hi})")
+
+
 def truncate(poset: RankedPoset, lo: int, hi: int) -> RankedPoset:
     """Keep levels lo..hi and re-rank from zero."""
-    if not 0 <= lo < hi <= poset.height:
-        raise RankOutOfRangeError(
-            f"need 0 <= lo < hi <= {poset.height}, got ({lo},{hi})"
-        )
+    _check_range(poset.height, lo, hi)
     keep = [x for x in range(poset.n) if lo <= poset.ranks[x] <= hi]
     remap = {x: i for i, x in enumerate(keep)}
     elements = [(remap[x], poset.ranks[x] - lo) for x in keep]
@@ -306,36 +349,6 @@ def gen_fig1b() -> RankedPoset:
     return build_poset(list(enumerate(ranks)), covers, name="fig1b", labels=labels)
 
 
-# -- whitney oracles ----------------------------------------------------
-
-
-def whitney_oracle(name_kind: str, *args) -> list[int]:
-    """Independent level-size predictions for the generated families."""
-    if name_kind == "boolean":
-        (n,) = args
-        return [math.comb(n, i) for i in range(n + 1)]
-    if name_kind == "star":
-        k, n = args
-        return [math.comb(n, i) * k**i for i in range(n + 1)]
-    if name_kind == "subspace":
-        n, q = args
-        return [gaussian_binomial(n, k, q) for k in range(n + 1)]
-    if name_kind == "affine":
-        n, q = args
-        return [gaussian_binomial(n, k, q) * q ** (n - k) for k in range(n + 1)]
-    if name_kind == "chains":
-        sizes = args[0]
-        acc = [1]
-        for s in sizes:
-            new = [0] * (len(acc) + s - 1)
-            for i, c in enumerate(acc):
-                for j in range(s):
-                    new[i + j] += c
-            acc = new
-        return acc
-    raise PosetError(f"no whitney oracle for {name_kind}")
-
-
 # -- spec-string parser ----------------------------------------------------
 
 
@@ -356,10 +369,6 @@ def split_top_level(s: str) -> list[str]:
             cur.append(ch)
     parts.append("".join(cur))
     return parts
-
-
-# integer arguments per spec kind; None means one or more
-_SPEC_ARITY = {"boolean": 1, "star": 2, "chains": None, "subspace": 2, "affine": 2, "divisor": 1}
 
 
 def _is_int(token: str) -> bool:
@@ -401,53 +410,72 @@ def _product_parts(spec: str) -> tuple[str, str]:
     return ",".join(inner[: cuts[0]]), ",".join(inner[cuts[0] :])
 
 
-# the checks each generator with a whitney oracle makes before it builds
-_FAMILY_CHECKS = {
-    "boolean": lambda n: _check_dimension("boolean lattice", n),
-    "star": _check_star,
-    "chains": lambda *sizes: _check_chains(sizes),
-    "subspace": lambda n, q: _check_gf_size("subspace", "subspace lattice", n, q),
-    "affine": lambda n, q: _check_gf_size("affine", "affine poset", n, q),
+# spec kind -> (integer arguments, None for one or more; level-size oracle,
+# which makes the generator's checks; generator, looked up when it is called).
+# A chains spec passes its sizes as one sequence.
+_KINDS = {
+    "boolean": (1, _boolean_sizes, lambda n: gen_boolean(n)),
+    "star": (2, _star_sizes, lambda k, n: gen_star_power(k, n)),
+    "chains": (None, _chain_sizes, lambda sizes: gen_chain_product(sizes)),
+    "subspace": (2, _subspace_sizes, lambda n, q: gen_subspace_lattice(n, q)),
+    "affine": (2, _affine_sizes, lambda n, q: gen_affine_poset(n, q)),
+    "divisor": (1, _divisor_sizes, lambda m: gen_divisor_lattice(m)),
+    "fig1a": (0, lambda: [1, 2, 2, 1], lambda: gen_fig1a()),
+    "fig1b": (0, lambda: [1, 2, 2, 1], lambda: gen_fig1b()),
 }
 
 
-def _level_sizes(spec: str) -> list[int] | None:
-    """The level sizes of the poset a spec builds, from `whitney_oracle`
-    through trunc(...) and prod(...), without building it.  None for a kind
-    with no oracle, and for a spec its builder refuses, so that the builder
-    names the fault.  divisor:m is the product of chains of lengths e+1 over
-    the prime powers p^e of m, and fig1a and fig1b have fixed sizes."""
+def whitney_oracle(name_kind: str, *args) -> list[int]:
+    """The level sizes of a generated family from its closed form, after the
+    checks its generator makes."""
+    if name_kind not in _KINDS:
+        raise PosetError(f"no whitney oracle for {name_kind}")
+    return _KINDS[name_kind][1](*args)
+
+
+def _plan(spec: str) -> tuple[list[int], Callable[[], RankedPoset]]:
+    """The level sizes of the poset a spec names, and a builder for it.  Every
+    refusal is raised here, before anything is built."""
     spec = spec.strip()
-    if spec in ("fig1a", "fig1b"):
-        return [1, 2, 2, 1]
+    if max(accumulate((ch == "(") - (ch == ")") for ch in spec), default=0) > NESTING_CAP:
+        raise PosetError(f"poset spec nests deeper than {NESTING_CAP} levels")
+    if spec.startswith("trunc(") and spec.endswith(")"):
+        inner, lo, hi = _trunc_parts(spec)
+        sizes, build = _plan(inner)
+        _check_range(len(sizes) - 1, lo, hi)
+        return sizes[lo : hi + 1], lambda: truncate(build(), lo, hi)
+    if spec.startswith("prod(") and spec.endswith(")"):
+        plans = []
+        for part in _product_parts(spec):
+            try:
+                plans.append(_plan(part))
+            except PosetError as exc:
+                raise PosetError(
+                    f"cannot split product spec {spec!r}: factor {part.strip()!r}: {exc}"
+                ) from None
+        (a, build_a), (b, build_b) = plans
+        if sum(a) * sum(b) > ELEMENT_CAP:
+            raise SizeLimitError("product too large")
+        return _convolve(a, b), lambda: product(build_a(), build_b())
+    kind, colon, argstr = spec.partition(":")
+    if kind not in _KINDS or (_KINDS[kind][0] == 0) == bool(colon):
+        # fig1a and fig1b take no colon and no arguments; every other kind takes both
+        raise PosetError(
+            f"unknown poset kind {kind!r}" if colon else f"unrecognized poset spec {spec!r}"
+        )
+    arity, oracle, generator = _KINDS[kind]
+    args = _spec_ints(spec, argstr.split(","), arity) if colon else []
+    if arity is None:
+        args = [args]
+    return oracle(*args), lambda: generator(*args)
+
+
+def _level_sizes(spec: str) -> list[int] | None:
+    """The level sizes of the poset a spec names, or None for a refused spec."""
     try:
-        if spec.startswith("trunc(") and spec.endswith(")"):
-            inner, lo, hi = _trunc_parts(spec)
-            sizes = _level_sizes(inner)
-            return sizes[lo : hi + 1] if sizes and 0 <= lo < hi < len(sizes) else None
-        if spec.startswith("prod(") and spec.endswith(")"):
-            a, b = map(_level_sizes, _product_parts(spec))
-            if a is None or b is None or sum(a) * sum(b) > ELEMENT_CAP:
-                return None
-            conv = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-            return conv
-        kind, _, argstr = spec.partition(":")
-        if kind == "divisor":
-            (m,) = _spec_ints(spec, argstr.split(","), 1)
-            if m < 1:
-                return None
-            chains = [e + 1 for _, e in _factorize(m)]
-            return whitney_oracle("chains", chains) if math.prod(chains) <= ELEMENT_CAP else None
-        if kind not in _FAMILY_CHECKS:
-            return None
-        args = _spec_ints(spec, argstr.split(","), _SPEC_ARITY[kind])
-        _FAMILY_CHECKS[kind](*args)
+        return _plan(spec)[0]
     except PosetError:
         return None
-    return whitney_oracle(kind, args) if kind == "chains" else whitney_oracle(kind, *args)
 
 
 def parse_poset_spec(spec: str) -> RankedPoset:
@@ -457,45 +485,4 @@ def parse_poset_spec(spec: str) -> RankedPoset:
     "affine:2,2", "divisor:360", "trunc(boolean:5,1,3)", "fig1a",
     "prod(boolean:3,chains:3,2)".
     """
-    spec = spec.strip()
-    if max(accumulate((ch == "(") - (ch == ")") for ch in spec), default=0) > NESTING_CAP:
-        raise PosetError(f"poset spec nests deeper than {NESTING_CAP} levels")
-    if spec == "fig1a":
-        return gen_fig1a()
-    if spec == "fig1b":
-        return gen_fig1b()
-    if spec.startswith("trunc(") and spec.endswith(")"):
-        inner, lo, hi = _trunc_parts(spec)
-        return truncate(parse_poset_spec(inner), lo, hi)
-    if spec.startswith("prod(") and spec.endswith(")"):
-        parts = _product_parts(spec)
-        # refuse a product past the cap before building factors of known size
-        sizes = [_level_sizes(part) for part in parts]
-        if None not in sizes and math.prod(map(sum, sizes)) > ELEMENT_CAP:
-            raise SizeLimitError("product too large")
-        factors = []
-        for part in parts:
-            try:
-                factors.append(parse_poset_spec(part))
-            except PosetError as exc:
-                raise PosetError(
-                    f"cannot split product spec {spec!r}: factor {part.strip()!r}: {exc}"
-                ) from None
-        return product(*factors)
-    if ":" not in spec:
-        raise PosetError(f"unrecognized poset spec {spec!r}")
-    kind, _, argstr = spec.partition(":")
-    if kind not in _SPEC_ARITY:
-        raise PosetError(f"unknown poset kind {kind!r}")
-    args = _spec_ints(spec, argstr.split(","), _SPEC_ARITY[kind])
-    if kind == "boolean":
-        return gen_boolean(*args)
-    if kind == "star":
-        return gen_star_power(*args)
-    if kind == "chains":
-        return gen_chain_product(args)
-    if kind == "subspace":
-        return gen_subspace_lattice(*args)
-    if kind == "affine":
-        return gen_affine_poset(*args)
-    return gen_divisor_lattice(*args)
+    return _plan(spec)[1]()

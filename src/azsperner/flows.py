@@ -19,7 +19,8 @@ from typing import Hashable, Iterable, Sequence
 from .core import _ids_of
 from .errors import SizeLimitError
 
-# maxima x elements an enumeration may list, for its time and memory
+# maxima x elements an enumeration (of antichains here, of independent sets in
+# `mis`) may list, for its time and memory
 LISTING_CAP = 40_000_000
 
 

@@ -21,14 +21,15 @@ the candidates of every later branch.
 ``run()`` seeds its incumbent with a greedy independent set, built once at
 the root by taking a candidate of least remaining degree (lowest id on
 ties).  ``enumerate()`` returns the maxima as bitmasks in ascending order,
-so its output does not depend on the search order.  Intended for the
+so its output does not depend on the search order; it refuses a listing
+of more than ``flows.LISTING_CAP`` maxima x vertices.  Intended for the
 desk-scale conflict graphs of product posets (tens of vertices), where
 exactness matters more than scale.
 """
 
 from __future__ import annotations
 
-from .core import SOLUTION_CAP
+from . import flows
 from .errors import SizeLimitError
 
 
@@ -98,8 +99,11 @@ class MaxIndependentSet:
                 self.best_mask = chosen
             else:
                 self.found.append(chosen)
-                if len(self.found) > SOLUTION_CAP:
-                    raise SizeLimitError("too many maximum independent sets")
+                if len(self.found) * self.n > flows.LISTING_CAP:
+                    raise SizeLimitError(
+                        f"over {len(self.found) - 1} maximum independent sets of {self.n} vertices"
+                        f" (cap {flows.LISTING_CAP})"
+                    )
                 return
         adj = self.adj
         classes = _clique_cover(cand, adj)

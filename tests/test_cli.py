@@ -539,6 +539,10 @@ OVER_CAP_SPECS = [
     "chains:" + ",".join(["100000"] * 1000),
     "affine:-1,2",
     "subspace:-1,2",
+    "trunc(boolean:16,5,40)",
+    "prod(boolean:16,subspace:2,6)",
+    "prod(boolean:16,trunc(chains:3,0,9))",
+    "prod(boolean:14,boolean:x)",
 ]
 
 

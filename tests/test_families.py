@@ -204,9 +204,20 @@ class TestDivisorLattice:
 
     def test_size_oracle_matches_the_built_lattice(self):
         for m in [*range(1, 2001), 720720]:
-            assert families._level_sizes(f"divisor:{m}") == list(gen_divisor_lattice(m).whitney), m
-        for spec in ("fig1a", "fig1b"):
-            assert families._level_sizes(spec) == list(parse_poset_spec(spec).whitney)
+            whitney = list(gen_divisor_lattice(m).whitney)
+            assert families._level_sizes(f"divisor:{m}") == whitney_oracle("divisor", m) == whitney, m
+        kinds = {
+            "boolean:4": ("boolean", 4),
+            "star:2,3": ("star", 2, 3),
+            "chains:4,3,2": ("chains", (4, 3, 2)),
+            "subspace:3,3": ("subspace", 3, 3),
+            "affine:2,3": ("affine", 2, 3),
+            "fig1a": ("fig1a",),
+            "fig1b": ("fig1b",),
+        }
+        for spec, (kind, *args) in kinds.items():
+            whitney = list(parse_poset_spec(spec).whitney)
+            assert families._level_sizes(spec) == whitney_oracle(kind, *args) == whitney, spec
         # refused by the builder, so the builder names the fault
         assert families._level_sizes("divisor:0") is None
         assert families._level_sizes("divisor:100000000000031") is None
@@ -349,6 +360,52 @@ class TestSpecParser:
             monkeypatch.setattr(families, name, refuse)
         with pytest.raises(SizeLimitError, match="product too large"):
             parse_poset_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, error, text",
+        [
+            (  # a kind check inside a factor
+                "prod(chains:3,4,boolean:2)",
+                PosetError,
+                "cannot split product spec 'prod(chains:3,4,boolean:2)': factor 'chains:3,4':"
+                " chain sizes must be non-increasing",
+            ),
+            (  # a nested product
+                "prod(prod(boolean:2,star:0,1),boolean:1)",
+                PosetError,
+                "cannot split product spec 'prod(prod(boolean:2,star:0,1),boolean:1)':"
+                " factor 'prod(boolean:2,star:0,1)': cannot split product spec"
+                " 'prod(boolean:2,star:0,1)': factor 'star:0,1': star power needs k >= 1 and n >= 1",
+            ),
+            (  # a trunc range inside a factor
+                "prod(boolean:16,trunc(chains:3,0,9))",
+                PosetError,
+                "cannot split product spec 'prod(boolean:16,trunc(chains:3,0,9))':"
+                " factor 'trunc(chains:3,0,9)': need 0 <= lo < hi <= 2, got (0,9)",
+            ),
+            (  # a trunc of a product
+                "trunc(prod(boolean:1,chains:3),0,9)",
+                RankOutOfRangeError,
+                "need 0 <= lo < hi <= 3, got (0,9)",
+            ),
+            ("prod(boolean:14,boolean:14)", SizeLimitError, "product too large"),
+            (  # the product cap inside a factor
+                "prod(prod(boolean:14,boolean:14),fig1a)",
+                PosetError,
+                "cannot split product spec 'prod(prod(boolean:14,boolean:14),fig1a)':"
+                " factor 'prod(boolean:14,boolean:14)': product too large",
+            ),
+        ],
+        ids=["factor", "nested-prod", "trunc-in-factor", "trunc-of-prod", "cap", "cap-in-factor"],
+    )
+    def test_refusal_text_at_each_layer(self, monkeypatch, spec, error, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused spec should build nothing")
+
+        monkeypatch.setattr(families, "build_poset", refuse)
+        with pytest.raises(PosetError) as caught:
+            parse_poset_spec(spec)
+        assert type(caught.value) is error and str(caught.value) == text
 
     @pytest.mark.parametrize(
         "spec", ["subspace:2000,2", "affine:3103,3", "trunc(subspace:1200,2,0,1)", "star:2,10000"]

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from azsperner import build_poset, enumerate_maximum_k_sperner, is_k_sperner, parse_poset_spec
+from azsperner import flows
+from azsperner.errors import SizeLimitError
 from azsperner.sperner import max_k_sperner_size
 from azsperner.mis import MaxIndependentSet, _clique_cover
 from azsperner.twopart import _conflict, conflict_graph
@@ -171,6 +173,17 @@ def test_mis_run_returns_an_independent_set_of_maximum_size(graph):
 def test_mis_on_the_empty_graph():
     assert MaxIndependentSet([]).run() == (0, 0)
     assert MaxIndependentSet([]).enumerate() == (0, [0])
+
+
+def test_mis_listing_past_the_work_cap_is_refused(monkeypatch):
+    # boolean:2 x chains:4 has 48 maximum independent sets of its 16 vertices
+    _, adj = conflict_graph(parse_poset_spec("boolean:2"), parse_poset_spec("chains:4"))
+    monkeypatch.setattr(flows, "LISTING_CAP", 48 * 16)
+    _, maxima = MaxIndependentSet(adj).enumerate()
+    assert len(maxima) == 48
+    monkeypatch.setattr(flows, "LISTING_CAP", 48 * 16 - 1)
+    with pytest.raises(SizeLimitError, match="over 47 maximum independent sets of 16 vertices"):
+        MaxIndependentSet(adj).enumerate()
 
 
 # (P, Q): (maximum, maxima, _search calls in run(), _search calls of the
